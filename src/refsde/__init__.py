@@ -16,8 +16,8 @@ from .coefficients import CATALOG, CoefficientField, GrowthReport, \
 from .errors import ConfigError, IntegrationError, ProjectionError
 from .geometry import Ball, Box, ConvexDomain, HalfLine, NormalDirection, \
     Polyhedron, domain_from_spec, sample_points
-from .penalized import PenalizedTrajectory, boundary_distance_stats, \
-    euler_penalized, relax, splitting_penalized
+from .penalized import PenalizedTrajectory, euler_penalized, \
+    splitting_penalized
 from .rates import ErrorRow, ErrorTable, RateReport, WeakRow, \
     boundary_distance_sweep, brownian_modulus_table, fit_rate, lp_sup_error, \
     modulus_of_continuity, monotone_decreasing, strong_error_sweep, \
@@ -33,8 +33,7 @@ __all__ = [
     "ConfigError", "IntegrationError", "ProjectionError",
     "Ball", "Box", "ConvexDomain", "HalfLine", "NormalDirection",
     "Polyhedron", "domain_from_spec", "sample_points",
-    "PenalizedTrajectory", "boundary_distance_stats", "euler_penalized",
-    "relax", "splitting_penalized",
+    "PenalizedTrajectory", "euler_penalized", "splitting_penalized",
     "ErrorRow", "ErrorTable", "RateReport", "WeakRow",
     "boundary_distance_sweep", "brownian_modulus_table", "fit_rate",
     "lp_sup_error", "modulus_of_continuity", "monotone_decreasing",

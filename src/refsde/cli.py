@@ -12,10 +12,10 @@ artifacts into the output directory:
   factor. ``validation_report.json`` (validate): per-check outcomes.
 * ``manifest.json``: config echo, seed, config hash and artifact hashes.
 
-Configs are parsed fail-closed: unknown keys anywhere are rejected. All
-floating point is serialized with 17 significant digits and reductions run
-in a fixed order, so re-running a config reproduces every artifact
-bitwise, independent of ``--threads``.
+Configs are parsed fail-closed: unknown keys anywhere and malformed values
+are rejected. All floating point is serialized with 17 significant digits
+and reductions run in a fixed order, so re-running a config reproduces
+every artifact bitwise.
 
 Exit codes: 0 success, 2 invalid config, 3 numerical failure.
 """
@@ -44,7 +44,7 @@ KINDS = ("validate", "dist-rate", "strong-rate", "weak-compare")
 
 _COMMON_KEYS = {"kind", "domain", "coefficients", "x0", "horizon_T",
                 "log2_fine_steps", "master_seed", "num_paths"}
-_SWEEP_KEYS = {"n_list", "scheme", "substeps", "p_list"}
+_SWEEP_KEYS = {"n_list", "scheme", "p_list"}
 _KEYS_BY_KIND = {
     "validate": _COMMON_KEYS,
     "dist-rate": _COMMON_KEYS | _SWEEP_KEYS | {"regressor", "slope_band"},
@@ -66,9 +66,7 @@ class ExperimentConfig:
     num_paths: int
     n_list: tuple = ()
     scheme: str = "splitting"
-    substeps: int = 1
     p_list: tuple = (2.0,)
-    reference_scheme: str = "projected_euler"
     reference_steps: Optional[int] = None
     functional: str = "cdf"
     regressor: str = "ln_n_over_n"
@@ -86,6 +84,17 @@ def load_config(path, kind):
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return parse_config(raw, kind)
+
+
+def _convert(value, cast, what):
+    """``cast(value)``, or a ConfigError naming ``what`` when that fails."""
+    try:
+        out = cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} is malformed: {value!r}") from exc
+    if cast is int and out != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return out
 
 
 def parse_config(raw, kind):
@@ -107,7 +116,7 @@ def parse_config(raw, kind):
 
     try:
         domain = domain_from_spec(raw["domain"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid domain: {exc}") from exc
 
     coeff_spec = raw["coefficients"]
@@ -117,21 +126,22 @@ def parse_config(raw, kind):
         coeffs = make_coefficients(
             coeff_spec["name"],
             **{k: v for k, v in coeff_spec.items() if k != "name"})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid coefficients: {exc}") from exc
     if coeffs.dim != domain.dim:
         raise ConfigError(
             f"coefficient dimension {coeffs.dim} does not match domain "
             f"dimension {domain.dim}")
 
-    x0 = np.atleast_1d(np.asarray(raw["x0"], dtype=float))
+    x0 = np.atleast_1d(_convert(raw["x0"],
+                                lambda v: np.asarray(v, dtype=float), "x0"))
     if x0.shape != (domain.dim,):
         raise ConfigError(f"x0 must have {domain.dim} coordinates")
     if not domain.contains(x0, tol.MEMBERSHIP_TOL):
         raise ConfigError("x0 must lie in the domain closure")
 
-    horizon = float(raw["horizon_T"])
-    log2_steps = int(raw["log2_fine_steps"])
+    horizon = _convert(raw["horizon_T"], float, "horizon_T")
+    log2_steps = _convert(raw["log2_fine_steps"], int, "log2_fine_steps")
     if not 0 <= log2_steps <= 30:
         raise ConfigError("log2_fine_steps must be between 0 and 30")
     try:
@@ -139,10 +149,10 @@ def parse_config(raw, kind):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    master_seed = int(raw["master_seed"])
+    master_seed = _convert(raw["master_seed"], int, "master_seed")
     if not 0 <= master_seed < 2 ** 64:
         raise ConfigError("master_seed must be an unsigned 64-bit integer")
-    num_paths = int(raw["num_paths"])
+    num_paths = _convert(raw["num_paths"], int, "num_paths")
     if num_paths < 1:
         raise ConfigError("num_paths must be >= 1")
 
@@ -153,8 +163,10 @@ def parse_config(raw, kind):
         return ExperimentConfig(**cfg)
 
     n_list = raw["n_list"]
-    if (not isinstance(n_list, list) or not n_list
-            or any(int(n) != n or n < 1 for n in n_list)
+    if not isinstance(n_list, list):
+        raise ConfigError("n_list must be a list")
+    n_list = [_convert(n, int, "n_list entry") for n in n_list]
+    if (not n_list or any(n < 1 for n in n_list)
             or any(b <= a for a, b in zip(n_list, n_list[1:]))):
         raise ConfigError("n_list must be a strictly ascending list of "
                           "positive integers")
@@ -165,39 +177,32 @@ def parse_config(raw, kind):
         raise ConfigError(
             f"explicit scheme is unstable: max(n_list) * h = "
             f"{max(n_list) * grid.step:.4g} > 1")
-    substeps = int(raw.get("substeps", 1))
-    if substeps < 1:
-        raise ConfigError("substeps must be >= 1")
+    if kind != "weak-compare" and len(n_list) < 4:
+        raise ConfigError("n_list needs at least 4 levels for the rate fit")
     p_list = raw.get("p_list", [2.0])
-    if (not isinstance(p_list, list) or not p_list
-            or any(not 1.0 <= float(p) <= 8.0 for p in p_list)):
+    if not isinstance(p_list, list):
+        raise ConfigError("p_list must be a list")
+    p_list = [_convert(p, float, "p_list entry") for p in p_list]
+    if not p_list or any(not 1.0 <= p <= 8.0 for p in p_list):
         raise ConfigError("p_list entries must lie in [1, 8]")
-    cfg.update(n_list=tuple(int(n) for n in n_list), scheme=scheme,
-               substeps=substeps, p_list=tuple(float(p) for p in p_list))
+    cfg.update(n_list=tuple(n_list), scheme=scheme, p_list=tuple(p_list))
 
     if kind in ("strong-rate", "weak-compare"):
         ref = raw.get("reference",
                       {"scheme": "projected_euler", "log2_steps": log2_steps})
         if not isinstance(ref, dict) or "scheme" not in ref:
             raise ConfigError("reference must be a mapping with a 'scheme'")
-        if ref["scheme"] == "projected_euler":
-            extra = set(ref) - {"scheme", "log2_steps"}
-            ref_log2 = int(ref.get("log2_steps", log2_steps))
-            if ref_log2 < log2_steps or ref_log2 > 30:
-                raise ConfigError(
-                    "reference log2_steps must be >= log2_fine_steps")
-            cfg.update(reference_scheme="projected_euler",
-                       reference_steps=1 << ref_log2)
-        elif ref["scheme"] == "halfline_map":
-            extra = set(ref) - {"scheme"}
-            if domain.dim != 1 or not hasattr(domain, "lower"):
-                raise ConfigError("halfline_map reference needs a half-line")
-            cfg.update(reference_scheme="halfline_map",
-                       reference_steps=grid.steps)
-        else:
+        if ref["scheme"] != "projected_euler":
             raise ConfigError(f"unknown reference scheme {ref['scheme']!r}")
+        extra = set(ref) - {"scheme", "log2_steps"}
         if extra:
             raise ConfigError(f"unknown keys in reference: {sorted(extra)}")
+        ref_log2 = _convert(ref.get("log2_steps", log2_steps), int,
+                            "reference log2_steps")
+        if ref_log2 < log2_steps or ref_log2 > 30:
+            raise ConfigError(
+                "reference log2_steps must be >= log2_fine_steps")
+        cfg.update(reference_steps=1 << ref_log2)
 
     if kind == "weak-compare":
         functional = raw.get("functional", "cdf")
@@ -217,7 +222,9 @@ def parse_config(raw, kind):
             if not (isinstance(band, list) and len(band) == 2):
                 raise ConfigError("slope_band must be [lo, hi] with null "
                                   "for an open side")
-            band = tuple(None if b is None else float(b) for b in band)
+            band = tuple(None if b is None
+                         else _convert(b, float, "slope_band entry")
+                         for b in band)
         cfg.update(regressor=regressor, slope_band=band)
 
     return ExperimentConfig(**cfg)
@@ -235,7 +242,7 @@ def _default_band(kind, domain):
 # Runner and artifact writing.
 # ---------------------------------------------------------------------------
 
-def run(config, out_dir, threads=1):
+def run(config, out_dir):
     """Execute one experiment and write its artifacts. Returns a summary."""
     os.makedirs(out_dir, exist_ok=True)
     if config.kind == "validate":
@@ -247,8 +254,7 @@ def run(config, out_dir, threads=1):
         tables = boundary_distance_sweep(
             config.domain, config.coefficients, config.x0, config.grid,
             config.n_list, config.num_paths, config.master_seed,
-            p_list=config.p_list, scheme=config.scheme,
-            substeps=config.substeps, threads=threads)
+            p_list=config.p_list, scheme=config.scheme)
         summary = _rate_summary(config, tables)
         artifacts = {
             "errors.csv": _rate_csv(tables),
@@ -259,9 +265,7 @@ def run(config, out_dir, threads=1):
             config.domain, config.coefficients, config.x0, config.grid,
             config.n_list, config.num_paths, config.master_seed,
             p_list=config.p_list, scheme=config.scheme,
-            substeps=config.substeps,
-            reference_steps=config.reference_steps, threads=threads,
-            reference_scheme=config.reference_scheme)
+            reference_steps=config.reference_steps)
         summary = _rate_summary(config, tables)
         artifacts = {
             "errors.csv": _rate_csv(tables),
@@ -272,9 +276,7 @@ def run(config, out_dir, threads=1):
             config.domain, config.coefficients, config.n_list, config.grid,
             config.num_paths, config.functional, config.x0,
             config.master_seed, scheme=config.scheme,
-            substeps=config.substeps,
-            reference_steps=config.reference_steps, threads=threads,
-            reference_scheme=config.reference_scheme)
+            reference_steps=config.reference_steps)
         first, last = rows[0].value, rows[-1].value
         summary = {
             "functional": config.functional,
@@ -417,21 +419,18 @@ def build_parser():
         sp = sub.add_parser(kind)
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--threads", type=int, default=0,
-                        help="worker threads (0 = auto)")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     try:
         config = load_config(args.config, args.kind)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        summary = run(config, args.out, threads=threads)
+        summary = run(config, args.out)
     except (IntegrationError, ProjectionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -165,27 +165,25 @@ def _build_schmidt1d(sigma_low=1.0, sigma_high=2.0, threshold=1.0):
 class CatalogEntry:
     name: str
     dim: int
-    tags: frozenset
     build: Callable[..., CoefficientField]
     defaults: dict = field(default_factory=dict)
 
 
 CATALOG = {
     "ou1d": CatalogEntry(
-        name="ou1d", dim=1, tags=frozenset({"lipschitz"}),
-        build=_build_ou1d, defaults={"kappa": 1.0, "sigma0": 1.0},
+        name="ou1d", dim=1, build=_build_ou1d,
+        defaults={"kappa": 1.0, "sigma0": 1.0},
     ),
     "gbm-box": CatalogEntry(
-        name="gbm-box", dim=2, tags=frozenset({"lipschitz", "degenerate"}),
-        build=_build_gbm_box, defaults={"mu": 0.05, "sigma0": 0.3, "cap": 10.0},
+        name="gbm-box", dim=2, build=_build_gbm_box,
+        defaults={"mu": 0.05, "sigma0": 0.3, "cap": 10.0},
     ),
     "quadrant2d": CatalogEntry(
-        name="quadrant2d", dim=2, tags=frozenset({"lipschitz"}),
-        build=_build_quadrant2d, defaults={"amplitude": 0.1, "drift_scale": 0.5},
+        name="quadrant2d", dim=2, build=_build_quadrant2d,
+        defaults={"amplitude": 0.1, "drift_scale": 0.5},
     ),
     "schmidt1d": CatalogEntry(
-        name="schmidt1d", dim=1, tags=frozenset({"discontinuous"}),
-        build=_build_schmidt1d,
+        name="schmidt1d", dim=1, build=_build_schmidt1d,
         defaults={"sigma_low": 1.0, "sigma_high": 2.0, "threshold": 1.0},
     ),
 }

@@ -7,16 +7,17 @@ term ``-n (x - project(x))``:
   only for ``n * h <= 1``; violating the guard is a hard error rather than
   a silent clamp, because silent instability corrupts rate plots.
 * ``splitting_penalized`` composes a diffusion sub-step with the exact
-  exponential relaxation of the penalty flow (``relax``). It has no
-  stability restriction, so penalization levels far beyond ``1/h`` are
-  usable; it is the recommended default. As ``n`` grows at fixed ``h`` the
-  step degenerates to projecting the diffusion update.
+  exponential relaxation of the penalty flow. It has no stability
+  restriction, so penalization levels far beyond ``1/h`` are usable; it is
+  the recommended default. As ``n`` grows at fixed ``h`` the step
+  degenerates to projecting the diffusion update.
 
 Both return the trajectory together with the accumulated penalty process
 (the running integral of the penalty drift) and the sup of the distance to
 the domain along the path. Step kernels are shape-agnostic over leading
-batch axes; the per-path functions here drive them with a single point,
-and the sweep machinery in ``rates`` drives them with one array per level.
+batch axes, and ``level`` may be an array that broadcasts against them; the
+per-path functions here drive them with a single point, and the sweep in
+``rates`` drives them with one ``(levels, paths, d)`` array.
 """
 
 from dataclasses import dataclass
@@ -31,8 +32,6 @@ __all__ = [
     "PenalizedTrajectory",
     "euler_penalized",
     "splitting_penalized",
-    "relax",
-    "boundary_distance_stats",
 ]
 
 
@@ -44,7 +43,6 @@ class PenalizedTrajectory:
     max_dist: float       # sup over grid of distance to the domain
     scheme: str
     level: float
-    substeps: int = 1
 
 
 def _matvec(sigma, vec):
@@ -58,41 +56,19 @@ def euler_step(domain, coeffs, t, x, dw, h, level):
     return x_next, -pen
 
 
-def splitting_step(domain, coeffs, t, x, dw, h, level, substeps=1):
+def splitting_step(domain, coeffs, t, x, dw, h, level):
     """Diffusion sub-step followed by exponential penalty relaxation.
 
-    Returns (next state, penalty increment). The relaxation re-projects
-    once per sub-step; with one sub-step it applies the exact
-    frozen-projection solution over the whole step.
+    Returns (next state, penalty increment). The relaxation solves the
+    penalty flow ``dz/dt = -n (z - project(z))`` exactly over the step:
+    projection onto a convex set is constant along the ray from the
+    post-diffusion point ``y`` to its projection, so the flow stays on that
+    ray and its gap to the anchor contracts by ``exp(-n h)``.
     """
     y = x + _matvec(coeffs.diffusion(t, x), dw) + h * coeffs.drift(t, x)
-    decay = np.exp(-level * h / substeps)
-    z = y
-    for _ in range(substeps):
-        p = domain.project(z)
-        z = p + (z - p) * decay
+    p = domain.project(y)
+    z = p + (y - p) * np.exp(-level * h)
     return z, z - y
-
-
-def relax(domain, x, level, duration):
-    """Exact solution at time ``duration`` of ``dy/dt = -n (y - project(x))``.
-
-    The projection is frozen at the starting point, so the solution is
-    ``project(x) + (x - project(x)) * exp(-n * duration)``: the gap to the
-    frozen anchor contracts by exactly that exponential factor.
-    """
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    p = domain.project(x)
-    return p + (x - p) * np.exp(-level * duration)
-
-
-def boundary_distance_stats(traj, p):
-    """p-th power of the trajectory's sup distance to the domain."""
-    if p < 1:
-        raise ValueError("moment order p must be >= 1")
-    return traj.max_dist ** p
 
 
 def euler_penalized(domain, coeffs, path, x0, level):
@@ -103,17 +79,15 @@ def euler_penalized(domain, coeffs, path, x0, level):
             f"explicit penalization is unstable for n*h = {level * h:.4g} > 1; "
             "reduce n, refine the grid, or use the splitting scheme"
         )
-    return _integrate(domain, coeffs, path, x0, level, "euler", 1)
+    return _integrate(domain, coeffs, path, x0, level, "euler")
 
 
-def splitting_penalized(domain, coeffs, path, x0, level, substeps=1):
+def splitting_penalized(domain, coeffs, path, x0, level):
     """Integrate the penalized SDE with the splitting scheme along ``path``."""
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    return _integrate(domain, coeffs, path, x0, level, "splitting", substeps)
+    return _integrate(domain, coeffs, path, x0, level, "splitting")
 
 
-def _integrate(domain, coeffs, path, x0, level, scheme, substeps):
+def _integrate(domain, coeffs, path, x0, level, scheme):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.dim,):
         raise ValueError(f"x0 must have shape ({domain.dim},)")
@@ -139,8 +113,7 @@ def _integrate(domain, coeffs, path, x0, level, scheme, substeps):
         if scheme == "euler":
             x, dk = euler_step(domain, coeffs, t, x, dw, h, level)
         else:
-            x, dk = splitting_step(domain, coeffs, t, x, dw, h, level,
-                                   substeps)
+            x, dk = splitting_step(domain, coeffs, t, x, dw, h, level)
         if not np.all(np.isfinite(x)):
             raise IntegrationError(
                 f"non-finite state at step {k + 1} (n = {level})",
@@ -150,5 +123,4 @@ def _integrate(domain, coeffs, path, x0, level, scheme, substeps):
         penalty[k + 1] = penalty[k] + dk
     max_dist = max(max_dist, float(domain.distance(x)))
     return PenalizedTrajectory(grid=grid, states=states, penalty=penalty,
-                               max_dist=max_dist, scheme=scheme, level=level,
-                               substeps=substeps)
+                               max_dist=max_dist, scheme=scheme, level=level)

@@ -2,10 +2,11 @@
 
 The sweep drivers integrate every requested penalization level, and the
 projected-Euler reference where one is needed, in lockstep along shared
-Brownian paths (common random numbers). Work is chunked over paths; chunk
-layout depends only on the problem size, never on the thread count, and
-results are merged in chunk order, so outputs are bitwise reproducible for
-a given configuration regardless of parallelism.
+Brownian paths (common random numbers). All levels are stacked into one
+state array and advanced by one kernel call per grid step. Every
+operation acts row by row, so a path's result does not depend on which
+other paths or levels share the batch, and outputs are bitwise
+reproducible for a given configuration.
 
 Errors are pooled as ``(mean over paths of sup^p)^(1/p)``; the bias of the
 root is accepted and the reported standard error is propagated to the same
@@ -15,7 +16,6 @@ scale are available because the two are empirically hard to distinguish at
 desk scale.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +23,6 @@ import numpy as np
 
 from .brownian import TimeGrid, halve_increments, sample_increments
 from .errors import IntegrationError
-from .geometry import HalfLine
 from .penalized import euler_step, splitting_step
 from .reflected import projected_euler_step
 from . import tolerances as tol
@@ -260,21 +259,16 @@ class WeakRow:
     value: float
 
 
-def _default_chunk(num_paths):
-    # One chunk by default: increments stream in time blocks, so resident
-    # memory does not grow with the chunk, and fewer chunks means less
-    # interpreter overhead in the step loop.
-    return num_paths
-
-
 def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
-                 scheme, substeps, ref_steps, want_err, want_dist,
-                 want_terminal, threads, chunk_paths,
-                 ref_scheme="projected_euler"):
+                 scheme, ref_steps, want_err, want_dist):
     """Integrate all levels (and the reference) along shared paths.
 
-    Returns per-path sup errors, sup boundary distances and terminal states
-    as requested; arrays are ordered by path index.
+    The levels share one ``(L, P, d)`` state array that a single kernel call
+    advances per grid step, with the level passed as an ``(L, 1, 1)`` column
+    and the ``(P, d)`` increment broadcast across the level axis. Returns
+    per-path sup errors and sup boundary distances, shape ``(L, P)``, as
+    requested, and the terminal states of the levels, ``(L, P, d)``, and of
+    the reference, ``(P, d)``.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.dim,):
@@ -294,141 +288,75 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
                 f"explicit scheme is unstable for n*h > 1 at levels {bad}; "
                 "use the splitting scheme or refine the grid"
             )
-    elif scheme != "splitting":
+        step = euler_step
+    elif scheme == "splitting":
+        step = splitting_step
+    else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if ref_scheme not in ("projected_euler", "halfline_map"):
-        raise ValueError(f"unknown reference scheme {ref_scheme!r}")
-    if ref_scheme == "halfline_map" and not isinstance(domain, HalfLine):
-        raise ValueError("the half-line map reference needs a half-line domain")
     if ref_steps is not None:
         ref_steps = int(ref_steps)
         if ref_steps < grid.steps or ref_steps % grid.steps != 0:
             raise ValueError("reference grid must refine the sweep grid")
 
-    chunk = chunk_paths or _default_chunk(num_paths)
-    jobs = [(lo, min(lo + chunk, num_paths))
-            for lo in range(0, num_paths, chunk)]
-
-    def run(job):
-        lo, hi = job
-        return _run_chunk(domain, coeffs, x0, grid, levels, master_seed,
-                          lo, hi, scheme, substeps, ref_steps,
-                          want_err, want_dist, want_terminal, ref_scheme)
-
-    if threads and threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(j) for j in jobs]
-
-    def cat(key):
-        chunks = [p[key] for p in parts]
-        return None if chunks[0] is None else np.concatenate(chunks, axis=1)
-
-    result = {
-        "sup_err": cat("sup_err"),
-        "sup_dist": cat("sup_dist"),
-        "terminal": cat("terminal"),
-    }
-    if want_terminal and ref_steps is not None:
-        result["ref_terminal"] = np.concatenate(
-            [p["ref_terminal"] for p in parts], axis=0)
-    return result
-
-
-def _run_chunk(domain, coeffs, x0, grid, levels, master_seed, lo, hi,
-               scheme, substeps, ref_steps, want_err, want_dist,
-               want_terminal, ref_scheme="projected_euler"):
-    n_paths = hi - lo
-    n_levels = len(levels)
+    # The reference, if any, steps on the finest grid; the levels step on
+    # block sums of ``factor`` fine increments.
     d = domain.dim
     m = grid.steps
-    h = grid.step
-
-    finest_steps = max(m, ref_steps or 1)
-    finest = TimeGrid(grid.horizon, finest_steps)
-    pen_factor = finest_steps // m
-    period = (ref_steps // m) if ref_steps is not None else 0
-    h_ref = grid.horizon / ref_steps if ref_steps is not None else 0.0
-
+    finest = TimeGrid(grid.horizon, ref_steps or m)
+    factor = finest.steps // m
+    h_ref = finest.step
+    x_ref = None
     if ref_steps is not None:
-        x_ref = np.broadcast_to(x0, (n_paths, d)).copy()
-        if ref_scheme == "halfline_map":
-            ref_driver = x_ref[:, 0].copy()
-            ref_deficit = np.zeros(n_paths)
-    states = [np.broadcast_to(x0, (n_paths, d)).copy() for _ in levels]
-    sup_err = np.zeros((n_levels, n_paths)) if want_err else None
-    sup_dist = np.zeros((n_levels, n_paths)) if want_dist else None
+        x_ref = np.broadcast_to(x0, (num_paths, d)).copy()
+    level = np.array(levels)[:, None, None]
+    x = np.broadcast_to(x0, (len(levels), num_paths, d)).copy()
+    sup_err = np.zeros(x.shape[:2]) if want_err else None
+    sup_dist = np.zeros(x.shape[:2]) if want_dist else None
 
     # Increments arrive in time blocks so resident memory stays flat no
-    # matter how many paths share the chunk. Block boundaries align with
-    # the coarsening factor, so the pairwise block sums match a whole-path
+    # matter how many paths there are. Block boundaries align with the
+    # coarsening factor, so the pairwise block sums match a whole-path
     # generation bitwise.
-    block = max(1, 2 ** 21 // max(1, n_paths * d * pen_factor))
-    paths = range(lo, hi)
+    block = max(1, 2 ** 20 // max(1, num_paths * d * factor))
+    paths = range(num_paths)
     for b0 in range(0, m, block):
         b1 = min(b0 + block, m)
         inc_f = sample_increments(finest, master_seed, paths, d,
-                                  step_lo=b0 * pen_factor,
-                                  step_hi=b1 * pen_factor)
-        inc_pen = halve_increments(inc_f, pen_factor)
-        if ref_steps is not None:
-            inc_ref = halve_increments(inc_f, finest_steps // ref_steps)
+                                  step_lo=b0 * factor, step_hi=b1 * factor)
+        inc_pen = halve_increments(inc_f, factor)
         for k in range(b0, b1):
             t = k * h
-            if ref_steps is not None:
-                for j in range(period):
-                    t_ref = t + j * h_ref
-                    dw_ref = inc_ref[:, (k - b0) * period + j]
-                    if ref_scheme == "projected_euler":
-                        x_ref, _ = projected_euler_step(domain, coeffs, t_ref,
-                                                        x_ref, dw_ref, h_ref)
-                    else:
-                        # Incremental running-maximum reflection.
-                        dy = np.einsum("...ij,...j->...i",
-                                       coeffs.diffusion(t_ref, x_ref),
-                                       dw_ref) \
-                            + h_ref * coeffs.drift(t_ref, x_ref)
-                        ref_driver = ref_driver + dy[:, 0]
-                        np.maximum(ref_deficit, domain.lower - ref_driver,
-                                   out=ref_deficit)
-                        x_ref = (ref_driver + ref_deficit)[:, None]
-            dw = inc_pen[:, k - b0]
-            for i, n in enumerate(levels):
-                if want_dist:
-                    np.maximum(sup_dist[i], domain.distance(states[i]),
-                               out=sup_dist[i])
-                if scheme == "euler":
-                    x_new, _ = euler_step(domain, coeffs, t, states[i],
-                                          dw, h, n)
-                else:
-                    x_new, _ = splitting_step(domain, coeffs, t, states[i],
-                                              dw, h, n, substeps)
-                finite = np.isfinite(x_new).all(axis=-1)
-                if not finite.all():
-                    bad = int(np.argmin(finite))
-                    raise IntegrationError(
-                        f"non-finite state at step {k + 1}, level n = {n:g}, "
-                        f"path {lo + bad}",
-                        step_index=k + 1, path_index=lo + bad, level=n,
-                    )
-                states[i] = x_new
-                if want_err:
-                    gap = np.linalg.norm(x_new - x_ref, axis=-1)
-                    np.maximum(sup_err[i], gap, out=sup_err[i])
+            if x_ref is not None:
+                for j in range(factor):
+                    x_ref, _ = projected_euler_step(
+                        domain, coeffs, t + j * h_ref, x_ref,
+                        inc_f[:, (k - b0) * factor + j], h_ref)
+            if want_dist:
+                np.maximum(sup_dist, domain.distance(x), out=sup_dist)
+            x, _ = step(domain, coeffs, t, x, inc_pen[:, k - b0], h, level)
+            finite = np.isfinite(x).all(axis=-1)
+            if not finite.all():
+                # Row-major order over (level, path): the first bad row is
+                # the one a level-by-level loop would have hit first.
+                li, pi = divmod(int(np.argmin(finite)), num_paths)
+                n = levels[li]
+                raise IntegrationError(
+                    f"non-finite state at step {k + 1}, level n = {n:g}, "
+                    f"path {pi}",
+                    step_index=k + 1, path_index=pi, level=n,
+                )
+            if want_err:
+                np.maximum(sup_err, np.linalg.norm(x - x_ref, axis=-1),
+                           out=sup_err)
     if want_dist:
-        for i in range(n_levels):
-            np.maximum(sup_dist[i], domain.distance(states[i]),
-                       out=sup_dist[i])
+        np.maximum(sup_dist, domain.distance(x), out=sup_dist)
 
-    out = {
+    return {
         "sup_err": sup_err,
         "sup_dist": sup_dist,
-        "terminal": np.stack(states) if want_terminal else None,
+        "terminal": x,
+        "ref_terminal": x_ref,
     }
-    if want_terminal and ref_steps is not None:
-        out["ref_terminal"] = x_ref
-    return out
 
 
 def _pooled_norm(sups, p):
@@ -460,27 +388,22 @@ def _tables(levels, sups, num_paths, h_fine, p_list):
 
 
 def boundary_distance_sweep(domain, coeffs, x0, grid, levels, num_paths,
-                            master_seed, p_list=(2.0,), scheme="splitting",
-                            substeps=1, threads=1, chunk_paths=None):
+                            master_seed, p_list=(2.0,), scheme="splitting"):
     """L^p norms of the sup boundary distance of the penalized process."""
     res = _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
-                       master_seed, scheme, substeps, ref_steps=None,
-                       want_err=False, want_dist=True, want_terminal=False,
-                       threads=threads, chunk_paths=chunk_paths)
+                       master_seed, scheme, ref_steps=None, want_err=False,
+                       want_dist=True)
     return _tables(levels, res["sup_dist"], num_paths, grid.step, p_list)
 
 
 def strong_error_sweep(domain, coeffs, x0, grid, levels, num_paths,
                        master_seed, p_list=(2.0,), scheme="splitting",
-                       substeps=1, reference_steps=None, threads=1,
-                       chunk_paths=None, reference_scheme="projected_euler"):
-    """L^p norms of the pathwise sup gap to the reflected reference."""
-    ref_steps = reference_steps or grid.steps
+                       reference_steps=None):
+    """L^p norms of the pathwise sup gap to the projected-Euler reference."""
     res = _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
-                       master_seed, scheme, substeps, ref_steps=ref_steps,
-                       want_err=True, want_dist=False, want_terminal=False,
-                       threads=threads, chunk_paths=chunk_paths,
-                       ref_scheme=reference_scheme)
+                       master_seed, scheme,
+                       ref_steps=reference_steps or grid.steps,
+                       want_err=True, want_dist=False)
     return _tables(levels, res["sup_err"], num_paths, grid.step, p_list)
 
 
@@ -488,9 +411,7 @@ _WEAK_FUNCTIONALS = ("mean", "second_moment", "cdf")
 
 
 def weak_compare(domain, coeffs, levels, grid, num_paths, functional, x0,
-                 master_seed, scheme="splitting", substeps=1,
-                 reference_steps=None, threads=1, chunk_paths=None,
-                 reference_scheme="projected_euler"):
+                 master_seed, scheme="splitting", reference_steps=None):
     """Distance of a terminal-value functional to the reference, per level.
 
     Functionals: ``mean`` (norm of the mean difference), ``second_moment``
@@ -501,12 +422,10 @@ def weak_compare(domain, coeffs, levels, grid, num_paths, functional, x0,
         raise ValueError(f"unknown functional {functional!r}")
     if functional == "cdf" and domain.dim != 1:
         raise ValueError("the CDF distance requires dimension 1")
-    ref_steps = reference_steps or grid.steps
     res = _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
-                       master_seed, scheme, substeps, ref_steps=ref_steps,
-                       want_err=False, want_dist=False, want_terminal=True,
-                       threads=threads, chunk_paths=chunk_paths,
-                       ref_scheme=reference_scheme)
+                       master_seed, scheme,
+                       ref_steps=reference_steps or grid.steps,
+                       want_err=False, want_dist=False)
     terminal = res["terminal"]          # (L, P, d)
     ref_terminal = res["ref_terminal"]  # (P, d)
     rows = []

@@ -36,6 +36,8 @@ def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         parse_config(base_config(extra_knob=1), "dist-rate")
     with pytest.raises(ConfigError, match="unknown config keys"):
+        parse_config(base_config(substeps=1), "dist-rate")
+    with pytest.raises(ConfigError, match="unknown config keys"):
         # reference is not a dist-rate key
         parse_config(base_config(reference={"scheme": "projected_euler"}),
                      "dist-rate")
@@ -64,6 +66,40 @@ def test_bad_n_list_rejected():
             parse_config(base_config(n_list=bad), "dist-rate")
 
 
+@pytest.mark.parametrize("kind", ["dist-rate", "strong-rate"])
+def test_rate_kinds_need_four_levels(kind):
+    with pytest.raises(ConfigError, match="at least 4 levels"):
+        parse_config(base_config(n_list=[4, 8, 16]), kind)
+    # weak-compare fits no rate, so any number of levels will do.
+    assert parse_config(base_config(n_list=[4]), "weak-compare").n_list == (4,)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("horizon_T", "one"),
+    ("horizon_T", None),
+    ("num_paths", None),
+    ("num_paths", 2.5),
+    ("n_list", ["a"]),
+    ("n_list", [4, None, 16, 32]),
+    ("n_list", "4,8"),
+    ("p_list", ["two"]),
+    ("p_list", 2),
+    ("master_seed", "seed"),
+    ("master_seed", 1e300),
+    ("log2_fine_steps", [8]),
+    ("x0", ["a"]),
+    ("slope_band", ["low", None]),
+    ("domain", {"type": "halfline", "lower": None}),
+    ("coefficients", {"name": "ou1d", "kappa": None}),
+])
+def test_malformed_values_are_config_errors(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, base_config(**{key: value}))
+    code = main(["dist-rate", "--config", path,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_p_list_range_enforced():
     with pytest.raises(ConfigError, match="p_list"):
         parse_config(base_config(p_list=[9]), "dist-rate")
@@ -82,15 +118,12 @@ def test_reference_validation():
                                  "log2_steps": 4})
     with pytest.raises(ConfigError, match="log2_steps"):
         parse_config(cfg, "strong-rate")
-    cfg = base_config(reference={"scheme": "halfline_map", "log2_steps": 8})
+    cfg = base_config(reference={"scheme": "projected_euler",
+                                 "log2_steps": 8, "period": 2})
     with pytest.raises(ConfigError, match="unknown keys in reference"):
         parse_config(cfg, "strong-rate")
-    cfg = base_config(domain={"type": "ball", "center": [0.0, 0.0],
-                              "radius": 1.0},
-                      coefficients={"name": "quadrant2d"},
-                      x0=[0.0, 0.0],
-                      reference={"scheme": "halfline_map"})
-    with pytest.raises(ConfigError, match="half-line"):
+    cfg = base_config(reference={"scheme": "halfline_map"})
+    with pytest.raises(ConfigError, match="unknown reference scheme"):
         parse_config(cfg, "strong-rate")
 
 
@@ -116,7 +149,7 @@ def test_main_returns_2_on_malformed_json(tmp_path):
 
 def test_main_returns_3_on_blowup(tmp_path, capsys):
     cfg = base_config(coefficients={"name": "ou1d", "kappa": -1e100},
-                      x0=[1.0], n_list=[4], num_paths=2)
+                      x0=[1.0], num_paths=2)
     path = write_config(tmp_path, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["dist-rate", "--config", path,
@@ -191,17 +224,6 @@ def test_rerun_is_bitwise_identical(tmp_path):
     assert main(["dist-rate", "--config", path, "--out", str(out2)]) == 0
     for name in ("errors.csv", "rate_report.json", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_thread_count_does_not_change_outputs(tmp_path):
-    path = write_config(tmp_path, base_config(num_paths=16))
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert main(["dist-rate", "--config", path, "--out", str(out1),
-                 "--threads", "1"]) == 0
-    assert main(["dist-rate", "--config", path, "--out", str(out2),
-                 "--threads", "4"]) == 0
-    assert (out1 / "errors.csv").read_bytes() == \
-        (out2 / "errors.csv").read_bytes()
 
 
 def test_run_accepts_parsed_config(tmp_path):

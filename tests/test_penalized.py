@@ -6,11 +6,8 @@ from refsde.coefficients import CoefficientField, make_coefficients
 from refsde.errors import IntegrationError
 from refsde.geometry import Ball, HalfLine, Polyhedron
 from refsde.penalized import (
-    PenalizedTrajectory,
-    boundary_distance_stats,
     euler_penalized,
     euler_step,
-    relax,
     splitting_penalized,
     splitting_step,
 )
@@ -76,6 +73,13 @@ def test_blowup_reports_step_index():
 
 
 # -- exponential relaxation ----------------------------------------------------
+# With zero coefficients and a zero increment the splitting step is the pure
+# relaxation of the penalty flow over one step of length h.
+
+def relax(domain, x, level, h):
+    return splitting_step(domain, zero_field(domain.dim), 0.0, x,
+                          np.zeros(domain.dim), h, level)[0]
+
 
 def test_relax_fixes_domain_points():
     dom = Ball(center=[0.0, 0.0], radius=1.0)
@@ -84,18 +88,19 @@ def test_relax_fixes_domain_points():
 
 
 def test_relax_halfline_closed_form():
-    got = relax(HalfLine(0.0), np.array([-1.0]), 1.0, 1.0)
-    assert got[0] == pytest.approx(-np.exp(-1.0), abs=1e-15)
-    assert got[0] == pytest.approx(-0.36787944117144233, abs=1e-15)
+    # One call relaxes a column of levels, as the sweep does.
+    levels = np.array([1.0, 2.0, 3.0])[:, None]
+    got = relax(HalfLine(0.0), np.array([-1.0]), levels, 1.0)
+    assert got.shape == (3, 1)
+    assert got[0, 0] == pytest.approx(-0.36787944117144233, abs=1e-15)
+    np.testing.assert_allclose(got[:, 0], -np.exp(-levels[:, 0]),
+                               rtol=0.0, atol=1e-15)
 
 
 def test_relax_exponential_contraction():
     dom = HalfLine(0.0)
-    x = np.array([-2.0])
-    out = relax(dom, x, 10.0, 5.0)  # n * s = 50
+    out = relax(dom, np.array([-2.0]), 10.0, 5.0)  # n * h = 50
     assert abs(out[0] - 0.0) <= 2.0 * np.exp(-50.0)
-    with pytest.raises(ValueError):
-        relax(dom, x, 1.0, -0.1)
 
 
 # -- splitting scheme -----------------------------------------------------------
@@ -186,14 +191,14 @@ def test_penalty_increments_point_at_projection(scheme):
 
 
 def test_boundary_distance_stats():
-    grid = TimeGrid(1.0, 8)
-    traj = PenalizedTrajectory(grid=grid, states=np.zeros((9, 1)),
-                               penalty=np.zeros((9, 1)), max_dist=0.25,
-                               scheme="euler", level=4.0)
-    assert boundary_distance_stats(traj, 2.0) == 0.0625
-    assert boundary_distance_stats(traj, 1.0) == 0.25
-    with pytest.raises(ValueError):
-        boundary_distance_stats(traj, 0.5)
+    # The trajectory's sup distance is the sup over its own states.
+    domain = quadrant()
+    coeffs = make_coefficients("quadrant2d")
+    path = sample_path(TimeGrid(1.0, 2 ** 8), 3, 0, dim=2)
+    for run in (euler_penalized, splitting_penalized):
+        traj = run(domain, coeffs, path, np.array([0.0, 0.0]), 16.0)
+        assert traj.max_dist > 0.0
+        assert traj.max_dist == np.max(domain.distance(traj.states))
 
 
 def test_deeper_penalization_reduces_excursions():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from refsde.brownian import TimeGrid, sample_path
+from refsde.brownian import TimeGrid, coarsen, sample_path
 from refsde.coefficients import CoefficientField, make_coefficients
+from refsde.errors import IntegrationError
 from refsde.geometry import HalfLine, Polyhedron
 from refsde.penalized import splitting_penalized
 from refsde.rates import (
@@ -17,7 +18,7 @@ from refsde.rates import (
     weak_compare,
     _sweep_paths,
 )
-from refsde.reflected import projected_euler
+from refsde.reflected import projected_euler, skorokhod_map_halfline
 
 
 def zero_field(dim):
@@ -202,9 +203,7 @@ def test_sweep_matches_per_path_api_bitwise():
     x0 = np.array([0.0])
     levels = [16.0, 64.0]
     res = _sweep_paths(domain, coeffs, x0, grid, levels, 6, 42, "splitting",
-                       1, ref_steps=grid.steps, want_err=True,
-                       want_dist=True, want_terminal=True, threads=1,
-                       chunk_paths=None)
+                       ref_steps=grid.steps, want_err=True, want_dist=True)
     for pi in range(6):
         path = sample_path(grid, 42, pi)
         ref = projected_euler(domain, coeffs, path, x0)
@@ -223,9 +222,7 @@ def test_sweep_matches_per_path_api_polyhedron():
     grid = TimeGrid.from_log2(1.0, 8)
     x0 = np.array([0.0, 0.0])
     res = _sweep_paths(domain, coeffs, x0, grid, [64.0], 4, 9, "splitting",
-                       1, ref_steps=grid.steps, want_err=True,
-                       want_dist=True, want_terminal=False, threads=1,
-                       chunk_paths=None)
+                       ref_steps=grid.steps, want_err=True, want_dist=True)
     for pi in range(4):
         path = sample_path(grid, 9, pi, dim=2)
         ref = projected_euler(domain, coeffs, path, x0)
@@ -235,19 +232,82 @@ def test_sweep_matches_per_path_api_polyhedron():
         assert res["sup_dist"][0, pi] == traj.max_dist
 
 
-def test_sweep_chunking_and_threads_invariant():
+def test_sweep_refined_reference_matches_per_path_api_bitwise():
+    # Reference on a 4x finer grid: the penalized schemes step on block
+    # sums of the fine increments and are compared at every 4th state.
     domain = HalfLine(0.0)
     coeffs = make_coefficients("ou1d")
-    grid = TimeGrid.from_log2(1.0, 9)
+    grid = TimeGrid.from_log2(1.0, 6)
+    fine = TimeGrid.from_log2(1.0, 8)
+    period = fine.steps // grid.steps
     x0 = np.array([0.0])
-    kw = dict(p_list=(1.0, 2.0), scheme="splitting")
-    base = strong_error_sweep(domain, coeffs, x0, grid, [16, 64], 10, 7,
-                              **kw)
-    split = strong_error_sweep(domain, coeffs, x0, grid, [16, 64], 10, 7,
-                               chunk_paths=3, threads=2, **kw)
-    for p in (1.0, 2.0):
-        for r1, r2 in zip(base[p].rows, split[p].rows):
-            assert r1 == r2
+    levels = [16.0, 256.0]
+    res = _sweep_paths(domain, coeffs, x0, grid, levels, 5, 31, "splitting",
+                       ref_steps=fine.steps, want_err=True, want_dist=False)
+    for pi in range(5):
+        path = sample_path(fine, 31, pi)
+        ref = projected_euler(domain, coeffs, path, x0)
+        np.testing.assert_array_equal(res["ref_terminal"][pi],
+                                      ref.states[-1])
+        for li, n in enumerate(levels):
+            traj = splitting_penalized(domain, coeffs, coarsen(path, period),
+                                       x0, n)
+            sup = np.max(np.linalg.norm(
+                traj.states - ref.states[::period], axis=-1))
+            assert res["sup_err"][li, pi] == sup
+
+
+def test_sweep_rows_independent_of_batch_quadrant():
+    # Dykstra freezes each point on its own stopping rule, so a path's
+    # result must not depend on which other paths share the batch.
+    domain = Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]],
+                        offsets=[0.0, 0.0])
+    coeffs = make_coefficients("quadrant2d")
+    grid = TimeGrid.from_log2(1.0, 7)
+    x0 = np.array([0.0, 0.0])
+    kw = dict(ref_steps=grid.steps, want_err=True, want_dist=True)
+    small = _sweep_paths(domain, coeffs, x0, grid, [16.0, 256.0], 3, 7,
+                         "splitting", **kw)
+    large = _sweep_paths(domain, coeffs, x0, grid, [16.0, 256.0], 10, 7,
+                         "splitting", **kw)
+    for key in ("sup_err", "sup_dist", "terminal"):
+        np.testing.assert_array_equal(small[key], large[key][:, :3])
+    np.testing.assert_array_equal(small["ref_terminal"],
+                                  large["ref_terminal"][:3])
+
+
+def test_sweep_non_finite_guard_names_first_bad_row():
+    # The drift explodes on states exactly at 0. Only the deep level, whose
+    # relaxation factor exp(-n h) underflows to 0, lands there (one step
+    # after its path leaves the half-line), so the first bad row is found
+    # in the second level. The per-path API is the oracle for its position.
+    domain = HalfLine(0.0)
+    coeffs = CoefficientField(
+        name="explode-at-zero", dim=1,
+        diffusion=lambda t, x: np.array([[1.0]]),
+        drift=lambda t, x: np.where(x == 0.0, np.inf, 0.0))
+    grid = TimeGrid.from_log2(1.0, 4)
+    x0 = np.array([0.25])
+    levels = [4.0, 16384.0]
+    num_paths = 6
+    first = []
+    with np.errstate(invalid="ignore"):
+        for li, n in enumerate(levels):
+            for pi in range(num_paths):
+                try:
+                    splitting_penalized(domain, coeffs,
+                                        sample_path(grid, 5, pi), x0, n)
+                except IntegrationError as exc:
+                    first.append((exc.step_index, li, pi))
+        step, li, pi = min(first)
+        assert li == 1 and pi > 0
+        with pytest.raises(IntegrationError) as err:
+            _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, 5,
+                         "splitting", ref_steps=None, want_err=False,
+                         want_dist=True)
+    assert err.value.step_index == step
+    assert err.value.level == levels[li]
+    assert err.value.path_index == pi
 
 
 def test_sweep_euler_guard():
@@ -260,22 +320,27 @@ def test_sweep_euler_guard():
 
 
 def test_halfline_map_reference_matches_projected_euler():
+    # The sweep's projected-Euler reference, against the running-maximum
+    # reflection of each path's realized driver.
     domain = HalfLine(0.0)
     coeffs = make_coefficients("ou1d")
     grid = TimeGrid.from_log2(1.0, 10)
     x0 = np.array([0.0])
-    a = strong_error_sweep(domain, coeffs, x0, grid, [64, 1024], 60, 11)
-    b = strong_error_sweep(domain, coeffs, x0, grid, [64, 1024], 60, 11,
-                           reference_scheme="halfline_map")
-    np.testing.assert_allclose(a[2.0].errors, b[2.0].errors, atol=1e-12)
+    levels = [64, 1024]
+    res = _sweep_paths(domain, coeffs, x0, grid, levels, 12, 11,
+                       "splitting", ref_steps=grid.steps, want_err=True,
+                       want_dist=False)
+    for pi in range(12):
+        path = sample_path(grid, 11, pi)
+        driver = projected_euler(domain, coeffs, path, x0).driver[:, 0]
+        mapped = skorokhod_map_halfline(driver, 0.0, grid).states
+        for li, n in enumerate(levels):
+            traj = splitting_penalized(domain, coeffs, path, x0, n)
+            sup = np.max(np.abs(traj.states - mapped))
+            assert abs(res["sup_err"][li, pi] - sup) <= 1e-12
     # Deeper penalization tracks the reflected reference more closely.
-    assert a[2.0].errors[1] < a[2.0].errors[0]
-    with pytest.raises(ValueError, match="half-line"):
-        strong_error_sweep(
-            Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]],
-                       offsets=[0.0, 0.0]),
-            make_coefficients("quadrant2d"), np.array([0.0, 0.0]), grid,
-            [16], 2, 0, reference_scheme="halfline_map")
+    tables = strong_error_sweep(domain, coeffs, x0, grid, levels, 60, 11)
+    assert tables[2.0].errors[1] < tables[2.0].errors[0]
 
 
 def test_weak_compare_quiescent_matches_exactly():
