@@ -13,7 +13,7 @@ from .brownian import BrownianPath, TimeGrid, coarsen, sample_increments, \
     sample_path
 from .coefficients import CATALOG, CoefficientField, GrowthReport, \
     LipschitzReport, check_linear_growth, check_lipschitz, make_coefficients
-from .errors import ConfigError, IntegrationError, ProjectionError
+from .errors import ConfigError, IntegrationError, RateFitError
 from .geometry import Ball, Box, ConvexDomain, HalfLine, NormalDirection, \
     Polyhedron, domain_from_spec, sample_points
 from .penalized import PenalizedTrajectory, euler_penalized, \
@@ -30,7 +30,7 @@ __all__ = [
     "BrownianPath", "TimeGrid", "coarsen", "sample_increments", "sample_path",
     "CATALOG", "CoefficientField", "GrowthReport", "LipschitzReport",
     "check_linear_growth", "check_lipschitz", "make_coefficients",
-    "ConfigError", "IntegrationError", "ProjectionError",
+    "ConfigError", "IntegrationError", "RateFitError",
     "Ball", "Box", "ConvexDomain", "HalfLine", "NormalDirection",
     "Polyhedron", "domain_from_spec", "sample_points",
     "PenalizedTrajectory", "euler_penalized", "splitting_penalized",

@@ -34,7 +34,7 @@ from . import __version__
 from .brownian import TimeGrid
 from .coefficients import check_linear_growth, check_lipschitz, \
     make_coefficients
-from .errors import ConfigError, IntegrationError, ProjectionError
+from .errors import ConfigError, IntegrationError, RateFitError
 from .geometry import Ball, domain_from_spec, sample_points
 from .rates import boundary_distance_sweep, fit_rate, monotone_decreasing, \
     strong_error_sweep, weak_compare
@@ -431,7 +431,7 @@ def main(argv=None):
         return 2
     try:
         summary = run(config, args.out)
-    except (IntegrationError, ProjectionError) as exc:
+    except (IntegrationError, RateFitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     if config.kind == "validate" and not summary["passed"]:

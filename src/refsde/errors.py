@@ -1,12 +1,8 @@
 """Exception types shared across the package."""
 
 
-class ProjectionError(RuntimeError):
-    """Iterative projection failed to converge; carries the final residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+class RateFitError(ValueError):
+    """A rate fit is degenerate: some level has zero error, so no log."""
 
 
 class IntegrationError(RuntimeError):

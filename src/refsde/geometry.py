@@ -9,18 +9,20 @@ All operations accept a single point of shape ``(d,)`` or a batch of shape
 are immutable after construction and safe to share across workers; every
 operation is pure.
 
-Projection is exact (closed form) for the half-line, box, ball and a single
-halfspace. General polyhedra use cyclic alternating projections with
-Dykstra correction terms, which converge to the exact metric projection;
-the stopping rule combines a successive-iterate test with a KKT-style
-residual. Points already inside any domain are returned bitwise unchanged.
+Every projection is exact. The half-line, box and ball have closed forms.
+A polyhedron precomputes, for each linearly independent set of at most
+``d`` faces, the inverse Gram matrix of its normals, and projects by
+picking among these candidate active sets the KKT point of the projection
+problem: no iteration and no stopping rule. Points already inside any
+domain are returned bitwise unchanged.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProjectionError
 from . import tolerances as tol
 
 __all__ = [
@@ -193,15 +195,15 @@ class Polyhedron(ConvexDomain):
     """Intersection of halfspaces ``<a_i, x> <= c_i`` with unit normals a_i.
 
     Construction validates that every normal has unit length (within
-    ``UNIT_VECTOR_TOL``) and that the feasible set has nonempty interior,
-    searching for a strictly interior point by cyclic feasibility
-    projections with a geometric margin sweep. Domains failing either
-    check are rejected.
+    ``UNIT_VECTOR_TOL``), precomputes the candidate active sets of the
+    exact projection (at most ``MAX_ACTIVE_SETS``; see ``_project``), and
+    checks that the feasible set has nonempty interior by projecting the
+    origin onto the polyhedron shrunk by a geometric sweep of margins.
+    Domains failing any check are rejected with ``ValueError``.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
-    max_iter: int = tol.PROJECTION_MAX_ITER
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.normals, dtype=float))
@@ -217,8 +219,10 @@ class Polyhedron(ConvexDomain):
             raise ValueError("polyhedron normals must be unit vectors")
         object.__setattr__(self, "normals", a)
         object.__setattr__(self, "offsets", c)
-        anchor = _find_interior_point(a, c, self.max_iter)
-        object.__setattr__(self, "_anchor", anchor)
+        object.__setattr__(self, "_faces", a.tolist())
+        object.__setattr__(self, "_bounds", c.tolist())
+        object.__setattr__(self, "_active_sets", _active_sets(a))
+        object.__setattr__(self, "_anchor", self._find_interior_point())
 
     @property
     def dim(self):
@@ -231,33 +235,11 @@ class Polyhedron(ConvexDomain):
         # unlike matmul, so batched and single-point calls agree bitwise.
         return self.offsets - np.einsum("...d,md->...m", x, self.normals)
 
-    def project(self, x, residual_tol=None, cycle_tol=None, max_iter=None):
+    def project(self, x):
         # Feasible points are returned unchanged (possibly the input array
-        # itself); infeasible ones go through Dykstra, or the closed form
-        # when there is a single halfspace.
+        # itself).
         x = self._check_point(x)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x.reshape(-1, self.dim)
-        products = np.einsum("pd,md->pm", pts, self.normals)
-        infeasible = np.any(products > self.offsets, axis=-1)
-        if not np.any(infeasible):
-            return x
-        residual_tol = tol.PROJECTION_RESIDUAL_TOL if residual_tol is None else residual_tol
-        cycle_tol = tol.PROJECTION_CYCLE_TOL if cycle_tol is None else cycle_tol
-        max_iter = self.max_iter if max_iter is None else max_iter
-        out = pts.copy()
-        if self.normals.shape[0] == 1:
-            a, c = self.normals[0], self.offsets[0]
-            viol = products[infeasible, 0] - c
-            out[infeasible] = pts[infeasible] - viol[:, None] * a
-        else:
-            out[infeasible] = _dykstra(
-                self.normals, self.offsets, pts[infeasible],
-                residual_tol, cycle_tol, max_iter,
-            )
-        if single:
-            return out[0]
-        return out.reshape(x.shape)
+        return _project(x, self._faces, self._bounds, self._active_sets)
 
     def boundary_distance(self, x):
         margin = np.min(self.slack(x), axis=-1)
@@ -265,6 +247,29 @@ class Polyhedron(ConvexDomain):
 
     def interior_point(self):
         return self._anchor.copy()
+
+    def _find_interior_point(self):
+        """Find a strictly interior point or reject the polyhedron.
+
+        Sweeps a geometric sequence of margins eps and projects the origin
+        onto the shrunk constraints ``<a_i, x> <= c_i - eps``; the first
+        result whose every slack exceeds ``eps / 2`` certifies nonempty
+        interior. A shrunk set that is empty yields no such point, so the
+        sweep goes on to the next margin.
+        """
+        c = self.offsets
+        scale = max(1.0, float(np.max(np.abs(c))))
+        origin = np.zeros(self.dim)
+        eps = 0.5 * scale
+        while eps >= tol.INTERIOR_MARGIN_FLOOR * scale:
+            x = _project(origin, self._faces, (c - eps).tolist(),
+                         self._active_sets)
+            if np.all(self.slack(x) > 0.5 * eps):
+                return x
+            eps *= 0.5
+        raise ValueError(
+            "polyhedron has empty interior: no strictly feasible point found"
+        )
 
 
 @dataclass(frozen=True)
@@ -307,96 +312,107 @@ class Ball(ConvexDomain):
 
 
 # ---------------------------------------------------------------------------
-# Iterative machinery for general polyhedra.
+# Exact projection onto polyhedra.
 # ---------------------------------------------------------------------------
 
-def _dykstra(normals, offsets, pts, residual_tol, cycle_tol, max_iter):
-    """Project a batch of points onto an intersection of halfspaces.
+# Largest number of candidate active sets, sum_{1<=k<=d} C(m, k), that a
+# Polyhedron may have: every projection of an exterior batch evaluates each.
+MAX_ACTIVE_SETS = 1024
 
-    Cyclic halfspace projections with Dykstra corrections. Each point keeps
-    its own convergence status; once a point satisfies the stopping rule it
-    is frozen, so the result for any point does not depend on which other
-    points share the batch. A point stops when either its cycle movement is
-    below ``cycle_tol`` or its KKT residual is below ``residual_tol``. The
-    residual combines the feasibility violation with the complementarity
-    products ``lambda_i * slack_i``, which bound the worst violation of the
-    projection's variational inequality.
+
+def _active_sets(normals):
+    """Candidate active sets of a polyhedron with ``normals`` ``(m, d)``.
+
+    Returns ``(rows, ginv, pinv)`` for every linearly independent set S of
+    at most ``d`` faces (rank decided at ``ACTIVE_SET_RANK_RTOL``), by size
+    then index order: the face indices, the rows of
+    ``G_S^-1 = (A_S A_S^T)^-1`` and the rows of the pseudo-inverse
+    ``A_S^T G_S^-1`` (``d`` lists of ``|S|`` entries), as Python floats.
     """
     m, d = normals.shape
-    n_pts = pts.shape[0]
-    x = pts.astype(float).copy()
-    corr = np.zeros((m, n_pts, d))
-    lam = np.zeros((m, n_pts))
-    active = np.arange(n_pts)
-
-    worst = np.inf
-    for _ in range(max_iter):
-        xa = x[active]
-        x_prev = xa.copy()
-        for i in range(m):
-            y = xa + corr[i, active]
-            viol = np.einsum("pd,d->p", y, normals[i]) - offsets[i]
-            step = np.maximum(viol, 0.0)
-            x_new = y - step[:, None] * normals[i]
-            corr[i, active] = y - x_new
-            lam[i, active] = step
-            xa = x_new
-        x[active] = xa
-
-        moved = np.linalg.norm(xa - x_prev, axis=-1)
-        slack = offsets - np.einsum("pd,md->pm", xa, normals)
-        feas = np.max(np.maximum(-slack, 0.0), axis=-1)
-        comp = np.max(lam[:, active].T * np.maximum(slack, 0.0), axis=-1)
-        residual = np.maximum(feas, comp)
-        done = (moved < cycle_tol) | (residual <= residual_tol)
-        if np.all(done):
-            return x
-        worst = float(np.max(residual[~done]))
-        active = active[~done]
-
-    raise ProjectionError(
-        f"polyhedral projection did not converge in {max_iter} cycles "
-        f"(final residual {worst:.3e})",
-        residual=worst,
-    )
+    count = sum(math.comb(m, k) for k in range(1, min(m, d) + 1))
+    if count > MAX_ACTIVE_SETS:
+        raise ValueError(
+            f"polyhedron with {m} halfspaces in dimension {d} has {count} "
+            f"candidate active sets; at most {MAX_ACTIVE_SETS} are supported"
+        )
+    sets = []
+    for k in range(1, min(m, d) + 1):
+        for rows in itertools.combinations(range(m), k):
+            a_s = normals[list(rows)]
+            if np.linalg.matrix_rank(a_s, rtol=tol.ACTIVE_SET_RANK_RTOL) < k:
+                continue
+            ginv = np.linalg.inv(a_s @ a_s.T)
+            pinv = np.linalg.pinv(a_s)  # from the SVD: no G_S^-1 rounding
+            sets.append((rows, ginv.tolist(), pinv.tolist()))
+    return sets
 
 
-def _find_interior_point(normals, offsets, max_iter):
-    """Find a strictly interior point or reject the polyhedron.
+def _combine(coeffs, terms):
+    """``sum_k coeffs[k] * terms[k]`` in index order, or None if all are 0.
 
-    Sweeps a geometric sequence of margins eps and runs cyclic feasibility
-    projections onto the shrunk constraints ``<a_i, x> <= c_i - eps``; the
-    first margin admitting a feasible point certifies nonempty interior.
-    Polyhedra with nearly parallel opposing faces can defeat the cyclic
-    search and are rejected even though a sliver of interior exists; such
-    domains are outside the intended desk scale.
+    Zero coefficients, common on axis-aligned faces, are skipped; that is
+    exact except for the sign of a zero sum.
     """
-    scale = max(1.0, float(np.max(np.abs(offsets))))
-    budget = min(max_iter, 500)
-    eps = 0.5 * scale
-    while eps >= tol.INTERIOR_MARGIN_FLOOR * scale:
-        x = _feasibility_point(normals, offsets - eps, budget)
-        if x is not None:
-            return x
-        eps *= 0.5
-    raise ValueError(
-        "polyhedron has empty interior: no strictly feasible point found"
-    )
+    out = None
+    for a, t in zip(coeffs, terms):
+        if a != 0.0:
+            out = a * t if out is None else out + a * t
+    return out
 
 
-def _feasibility_point(normals, offsets, max_iter):
-    d = normals.shape[1]
-    x = np.zeros(d)
-    for _ in range(max_iter):
-        worst = 0.0
-        for a, c in zip(normals, offsets):
-            viol = float(x @ a - c)
-            if viol > 0.0:
-                x = x - viol * a
-                worst = max(worst, viol)
-        if worst == 0.0:
-            return x
-    return None
+def _project(x, faces, offsets, active_sets):
+    """Metric projection of ``x`` ``(..., d)`` onto ``<a_i, x> <= c_i``.
+
+    For an exterior point, each candidate S gives ``r_S = A_S x - c_S``,
+    multipliers ``lam_S = G_S^-1 r_S`` and the point ``p_S = x - A_S^T
+    lam_S``, formed with the pseudo-inverse as ``x - (A_S^T G_S^-1) r_S``.
+    A candidate with ``lam_S >= 0`` is dual feasible with dual value
+    ``|x - p_S|^2 / 2 = <lam_S, r_S> / 2``, and the KKT point is one of
+    them, so by weak duality the largest value marks the projection: no
+    iteration and no feasibility tolerance. All operations act row by row
+    on coordinate columns, so a point's result does not depend on its
+    batch; feasible points are returned bitwise unchanged.
+    """
+    d = x.shape[-1]
+    cols = [x[..., j] for j in range(d)]
+    res = []
+    outside = False
+    for a, c in zip(faces, offsets):
+        r = _combine(a, cols) - c
+        res.append(r)
+        outside = outside | (r > 0.0)
+    if not np.any(outside):
+        return x
+    # Only the exterior rows go through the candidates.
+    rows_out = np.flatnonzero(outside)
+    cols = [col.ravel()[rows_out] for col in cols]
+    res = [r.ravel()[rows_out] for r in res]
+    best = -1.0
+    p = list(cols)
+    for rows, ginv, pinv in active_sets:
+        r = [res[i] for i in rows]
+        lam = [_combine(g, r) for g in ginv]
+        ok = lam[0] >= 0.0
+        value = lam[0] * r[0]
+        for lam_k, r_k in zip(lam[1:], r[1:]):
+            ok = ok & (lam_k >= 0.0)
+            value = value + lam_k * r_k
+        better = ok & (value > best)
+        if not np.any(better):
+            continue
+        best = np.where(better, value, best)
+        for j, m_j in enumerate(pinv):
+            q = _combine(m_j, r)
+            if q is None:
+                if p[j] is cols[j]:
+                    continue  # p_S keeps x_j, as every row still does
+                p[j] = np.where(better, cols[j], p[j])
+            else:
+                p[j] = np.where(better, cols[j] - q, p[j])
+    out = x.reshape(-1, d).copy()
+    out[rows_out] = np.stack(p, axis=-1)
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +424,12 @@ def sample_points(domain, count, seed, spread=2.0, interior=False):
 
     Projections of gaussian samples centered at the interior anchor; with
     ``interior=True`` the points are pulled strictly inside by a uniform
-    shrink toward the anchor. Iterative projections run at a tightened
-    residual so the samples are members up to ~1e-13.
+    shrink toward the anchor.
     """
     rng = np.random.default_rng(seed)
     anchor = domain.interior_point()
     z = anchor + spread * rng.standard_normal((count, domain.dim))
-    if isinstance(domain, Polyhedron):
-        pts = domain.project(z, residual_tol=1e-13)
-    else:
-        pts = domain.project(z)
+    pts = domain.project(z)
     if interior:
         u = rng.uniform(0.0, 0.999, size=count)
         pts = anchor + u[:, None] * (pts - anchor)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .brownian import TimeGrid, halve_increments, sample_increments
-from .errors import IntegrationError
+from .errors import IntegrationError, RateFitError
 from .penalized import euler_step, splitting_step
 from .reflected import projected_euler_step
 from . import tolerances as tol
@@ -105,7 +105,8 @@ def fit_rate(table, regressor="ln_n_over_n", band=None):
     """Least-squares fit of log(error) against log(regressor(n)).
 
     Requires at least four rows and strictly positive errors (the log is
-    degenerate otherwise). ``band = (lo, hi)`` with ``None`` for an open
+    degenerate otherwise; a zero error raises ``RateFitError`` naming its
+    levels). ``band = (lo, hi)`` with ``None`` for an open
     side attaches a pass/fail verdict for the slope.
     """
     if regressor not in REGRESSORS:
@@ -114,7 +115,11 @@ def fit_rate(table, regressor="ln_n_over_n", band=None):
         raise ValueError("rate fit needs at least 4 rows")
     errors = table.errors
     if np.any(errors <= 0):
-        raise ValueError("rate fit needs strictly positive errors")
+        zero = ", ".join(str(row.level) for row in table.rows
+                         if row.error <= 0)
+        raise RateFitError(
+            f"rate fit needs strictly positive errors; the error is 0 at "
+            f"n = {zero}")
     r = np.log(REGRESSORS[regressor](table.levels))
     e = np.log(errors)
     slope, intercept = np.polyfit(r, e, 1)

@@ -24,6 +24,7 @@ import numpy as np
 from .brownian import TimeGrid
 from .errors import IntegrationError
 from .geometry import ConvexDomain, HalfLine, sample_points
+from .penalized import _matvec
 from . import tolerances as tol
 
 __all__ = [
@@ -93,8 +94,7 @@ def skorokhod_map_halfline(driver, lower_bound, grid=None):
 
 def projected_euler_step(domain, coeffs, t, x, dw, h):
     """One projected Euler update; returns (next state, driver increment)."""
-    dy = np.einsum("...ij,...j->...i", coeffs.diffusion(t, x), dw) \
-        + h * coeffs.drift(t, x)
+    dy = _matvec(coeffs.diffusion(t, x), dw) + h * coeffs.drift(t, x)
     return domain.project(x + dy), dy
 
 

@@ -5,14 +5,15 @@ override argument. Keeping them in one place makes the verification suite's
 thresholds auditable.
 """
 
-# Iterative polyhedral projection (Dykstra cycles).
-PROJECTION_RESIDUAL_TOL = 1e-10
-PROJECTION_CYCLE_TOL = 1e-12
-PROJECTION_MAX_ITER = 10_000
-
 # Construction-time validation.
 UNIT_VECTOR_TOL = 1e-12
 INTERIOR_MARGIN_FLOOR = 1e-8
+
+# Polyhedral faces whose normals have a smallest singular value below this
+# (relative to the largest) count as linearly dependent. It is about
+# sqrt(machine epsilon): past it the multipliers of the active set carry
+# relative rounding errors of order one, so the set's candidate is useless.
+ACTIVE_SET_RANK_RTOL = 1.5e-8
 
 # Inward normals are undefined closer to the domain than this.
 NORMAL_MIN_DIST = 1e-12

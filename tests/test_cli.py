@@ -141,6 +141,22 @@ def test_main_returns_2_on_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_polyhedron_with_too_many_active_sets_is_config_error(tmp_path,
+                                                              capsys):
+    # A 45-gon has 45 + C(45, 2) = 1035 candidate active sets.
+    theta = 2.0 * np.pi * np.arange(45) / 45
+    normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    cfg = base_config(domain={"type": "polyhedron",
+                              "normals": normals.tolist(),
+                              "offsets": [1.0] * 45},
+                      coefficients={"name": "quadrant2d"}, x0=[0.0, 0.0])
+    path = write_config(tmp_path, cfg)
+    code = main(["dist-rate", "--config", path,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "active sets" in capsys.readouterr().err
+
+
 def test_main_returns_2_on_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -156,6 +172,22 @@ def test_main_returns_3_on_blowup(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_main_returns_3_when_a_level_has_zero_error(tmp_path, capsys):
+    # No path leaves the box before the horizon, so every level's sup
+    # distance is 0 and the rate fit has no logarithm to take.
+    cfg = base_config(domain={"type": "box", "lower": [-100.0],
+                              "upper": [100.0]},
+                      horizon_T=0.01)
+    path = write_config(tmp_path, cfg)
+    code = main(["dist-rate", "--config", path,
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "error is 0 at n = 4, 8, 16, 32" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # -- experiment runs ----------------------------------------------------------------

@@ -6,6 +6,7 @@ from refsde.coefficients import CoefficientField, make_coefficients
 from refsde.errors import IntegrationError
 from refsde.geometry import Ball, HalfLine, Polyhedron
 from refsde.penalized import (
+    _matvec,
     euler_penalized,
     euler_step,
     splitting_penalized,
@@ -22,6 +23,20 @@ def zero_field(dim):
 
 def quadrant():
     return Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]], offsets=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matvec_matches_einsum(d):
+    rng = np.random.default_rng(d)
+    vec = rng.standard_normal((400, d))
+    for sigma in (rng.standard_normal((9, 400, d, d)),   # the sweep's shapes
+                  rng.standard_normal((d, d))):          # a constant field
+        want = np.einsum("...ij,...j->...i", sigma, vec)
+        if d <= 2:
+            np.testing.assert_array_equal(_matvec(sigma, vec), want)
+        else:
+            np.testing.assert_allclose(_matvec(sigma, vec), want,
+                                       rtol=0.0, atol=1e-14)
 
 
 # -- explicit scheme ----------------------------------------------------------

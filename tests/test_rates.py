@@ -258,7 +258,7 @@ def test_sweep_refined_reference_matches_per_path_api_bitwise():
 
 
 def test_sweep_rows_independent_of_batch_quadrant():
-    # Dykstra freezes each point on its own stopping rule, so a path's
+    # The projection gathers the exterior rows of each batch, so a path's
     # result must not depend on which other paths share the batch.
     domain = Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]],
                         offsets=[0.0, 0.0])
