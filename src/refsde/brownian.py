@@ -6,7 +6,9 @@ Increments are produced by a counter-based generator (Philox) keyed by
 inverse CDF. The value at any slot is therefore a pure function of the key
 and counter: paths are generable independently, in parallel, and in any
 order, and the same ``(master_seed, path_index, grid)`` always reproduces
-the same increments bitwise.
+the same increments bitwise. Because the stream depends on nothing but key
+and counter, one generator per call is re-keyed for each path, which gives
+the words a fresh generator would; no entropy is ever drawn.
 
 Block sums for coarsening are computed by repeated pairwise halving. This
 fixed dyadic tree makes ``coarsen(coarsen(p, 2), 2)`` bitwise identical to
@@ -103,7 +105,12 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
     Row p is bitwise identical to the corresponding slice of
     ``sample_path(grid, master_seed, path_indices[p], dim).increments``;
     ``step_lo``/``step_hi`` select a step range without generating the rest
-    of the path (the counter is offset into each path's stream).
+    of the path (the counter is offset into each path's stream). The result
+    is a pure function of the arguments: one Philox generator is re-keyed
+    to ``(master_seed, p)`` for each path, with its counter at the range's
+    first 4-word block and an empty buffer, so no state passes between
+    paths or calls. The uniform and normal transforms run in place on one
+    C-contiguous float64 buffer, which is returned.
     """
     master_seed = int(master_seed)
     if not 0 <= master_seed <= _MASK64:
@@ -122,14 +129,26 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
     count = n_steps * dim
     block, offset = divmod(word_lo, 4)
     raw = np.empty((len(idx), count), dtype=np.uint64)
+    key = np.array([master_seed, 0], dtype=_U64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.array([block, 0, 0, 0], dtype=_U64),
+                       "key": key},
+             "buffer": np.zeros(4, dtype=_U64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    gen = np.random.Philox(0)  # a fixed seed: the state below replaces it
     for row, p in enumerate(idx):
-        key = np.array([master_seed, p], dtype=_U64)
-        gen = np.random.Philox(key=key, counter=[block, 0, 0, 0])
+        key[1] = p
+        gen.state = state
         raw[row] = gen.random_raw(offset + count)[offset:]
     # 53-bit mantissa uniform in (0, 1), then inverse normal CDF.
-    u = ((raw >> _U64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    z = ndtri(u)
-    return (z * np.sqrt(grid.step)).reshape(len(idx), n_steps, dim)
+    raw >>= _U64(11)
+    z = raw.astype(np.float64)
+    del raw
+    z += 0.5
+    z *= 2.0 ** -53
+    ndtri(z, out=z)
+    z *= np.sqrt(grid.step)
+    return z.reshape(len(idx), n_steps, dim)
 
 
 def coarsen(path, factor):

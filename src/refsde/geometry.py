@@ -422,15 +422,18 @@ def _project(x, faces, offsets, active_sets):
 def sample_points(domain, count, seed, spread=2.0, interior=False):
     """Deterministic sample of points of the domain closure.
 
-    Projections of gaussian samples centered at the interior anchor; with
-    ``interior=True`` the points are pulled strictly inside by a uniform
-    shrink toward the anchor.
+    Projections of gaussian samples centered at the projection of the
+    origin, a point of the closure, so that the cloud reaches the corners
+    near it (the interior anchor of an acute wedge lies far from its apex);
+    with ``interior=True`` the points are pulled strictly inside by a
+    uniform shrink toward the interior anchor.
     """
     rng = np.random.default_rng(seed)
-    anchor = domain.interior_point()
-    z = anchor + spread * rng.standard_normal((count, domain.dim))
+    centre = domain.project(np.zeros(domain.dim))
+    z = centre + spread * rng.standard_normal((count, domain.dim))
     pts = domain.project(z)
     if interior:
+        anchor = domain.interior_point()
         u = rng.uniform(0.0, 0.999, size=count)
         pts = anchor + u[:, None] * (pts - anchor)
     return pts

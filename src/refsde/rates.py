@@ -256,6 +256,10 @@ def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0,
 # Lockstep sweep engine.
 # ---------------------------------------------------------------------------
 
+# Fine increment words (paths x steps x d) sampled per time block.
+_BLOCK_WORDS = 2 ** 20
+
+
 @dataclass(frozen=True)
 class WeakRow:
     level: int
@@ -318,27 +322,31 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     sup_err = np.zeros(x.shape[:2]) if want_err else None
     sup_dist = np.zeros(x.shape[:2]) if want_dist else None
 
-    # Increments arrive in time blocks so resident memory stays flat no
-    # matter how many paths there are. Block boundaries align with the
-    # coarsening factor, so the pairwise block sums match a whole-path
-    # generation bitwise.
-    block = max(1, 2 ** 20 // max(1, num_paths * d * factor))
+    # Increments arrive in time blocks of at most ``_BLOCK_WORDS`` fine
+    # words, so resident memory stays flat no matter how many paths there
+    # are. Block boundaries align with the coarsening factor, so the
+    # pairwise block sums match a whole-path generation bitwise. Each block
+    # is copied to time-major order, ``(steps, P, d)``, so that every step
+    # reads one contiguous ``(P, d)`` slab instead of a column strided by
+    # the block's length.
+    block = max(1, _BLOCK_WORDS // max(1, num_paths * d * factor))
     paths = range(num_paths)
     for b0 in range(0, m, block):
         b1 = min(b0 + block, m)
         inc_f = sample_increments(finest, master_seed, paths, d,
                                   step_lo=b0 * factor, step_hi=b1 * factor)
-        inc_pen = halve_increments(inc_f, factor)
+        inc_pen = _time_major(halve_increments(inc_f, factor))
+        inc_f = inc_pen if factor == 1 else _time_major(inc_f)
         for k in range(b0, b1):
             t = k * h
             if x_ref is not None:
                 for j in range(factor):
                     x_ref, _ = projected_euler_step(
                         domain, coeffs, t + j * h_ref, x_ref,
-                        inc_f[:, (k - b0) * factor + j], h_ref)
+                        inc_f[(k - b0) * factor + j], h_ref)
             if want_dist:
                 np.maximum(sup_dist, domain.distance(x), out=sup_dist)
-            x, _ = step(domain, coeffs, t, x, inc_pen[:, k - b0], h, level)
+            x, _ = step(domain, coeffs, t, x, inc_pen[k - b0], h, level)
             finite = np.isfinite(x).all(axis=-1)
             if not finite.all():
                 # Row-major order over (level, path): the first bad row is
@@ -362,6 +370,11 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
         "terminal": x,
         "ref_terminal": x_ref,
     }
+
+
+def _time_major(inc):
+    """A contiguous ``(steps, P, d)`` copy of a ``(P, steps, d)`` block."""
+    return np.ascontiguousarray(inc.transpose(1, 0, 2))
 
 
 def _pooled_norm(sups, p):

@@ -1,8 +1,14 @@
 """Centralized numeric tolerances.
 
-Every tolerance below is a default; the functions that use one accept an
-override argument. Keeping them in one place makes the verification suite's
-thresholds auditable.
+Keeping them in one place makes the verification suite's thresholds
+auditable. Most are fixed: ``UNIT_VECTOR_TOL``, ``INTERIOR_MARGIN_FLOOR``,
+``ACTIVE_SET_RANK_RTOL`` and ``NORMAL_MIN_DIST`` (domain construction and
+``normal_at`` in ``geometry``), ``MEMBERSHIP_TOL`` (starting-point
+checks) and ``COEFFICIENT_SLACK`` (``check_linear_growth`` and
+``check_lipschitz``) are read where they are used, and no argument
+overrides them. ``BOUNDARY_TOL`` and ``FLATNESS_TOL`` are defaults:
+``reflected.verify_skorokhod`` accepts ``boundary_tol`` and ``flat_tol``
+in their place.
 """
 
 # Construction-time validation.

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import refsde
 from refsde.cli import main, parse_config, run
 from refsde.errors import ConfigError
 
@@ -262,3 +267,32 @@ def test_run_accepts_parsed_config(tmp_path):
     config = parse_config(base_config(num_paths=8), "dist-rate")
     summary = run(config, str(tmp_path / "direct"))
     assert "per_p" in summary
+
+
+# -- import path -------------------------------------------------------------------
+
+_CONFIG_IMPORT_PROBE = """
+import json, sys
+import refsde.cli as cli
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as fh:
+        cli.load_config(path, json.load(fh)["kind"])
+print(json.dumps(sorted(m for m in ("scipy.optimize", "scipy.stats")
+                        if m in sys.modules)))
+"""
+
+
+def test_config_path_imports_neither_scipy_optimize_nor_stats():
+    # Importing scipy.optimize costs 0.2-0.3 s of start-up; neither it nor
+    # scipy.stats may be pulled in before a run starts. A fresh interpreter
+    # is needed, because the test session has imported both already.
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs")
+                     .glob("*.json"))
+    assert len(configs) == 3
+    src = str(Path(refsde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _CONFIG_IMPORT_PROBE, *map(str, configs)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert json.loads(out.stdout) == []

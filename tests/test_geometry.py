@@ -350,6 +350,15 @@ def test_sample_points_inside():
         assert np.all(dom.contains(inner, 1e-9))
 
 
+def test_sample_points_reach_the_wedge_apex():
+    # The interior anchor of the 0.01-rad wedge lies 50 units from its
+    # apex, so a cloud centred there never probes the apex.
+    dom = wedge(0.01)
+    members = sample_points(dom, 2000, seed=3)
+    assert np.min(dom.slack(members)) >= -1e-12
+    assert np.min(np.linalg.norm(members, axis=-1)) <= 1.0
+
+
 # -- config construction -------------------------------------------------------
 
 def test_domain_from_spec_roundtrip():

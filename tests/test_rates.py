@@ -6,6 +6,7 @@ from refsde.coefficients import CoefficientField, make_coefficients
 from refsde.errors import IntegrationError
 from refsde.geometry import HalfLine, Polyhedron
 from refsde.penalized import splitting_penalized
+from refsde import rates
 from refsde.rates import (
     ErrorRow,
     ErrorTable,
@@ -255,6 +256,28 @@ def test_sweep_refined_reference_matches_per_path_api_bitwise():
             sup = np.max(np.linalg.norm(
                 traj.states - ref.states[::period], axis=-1))
             assert res["sup_err"][li, pi] == sup
+
+
+@pytest.mark.parametrize("block_words", [1, 120])
+def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, block_words):
+    # d = 2 with a 4x refined reference, so the levels step on block sums
+    # that differ from the reference's fine increments. With 5 paths the
+    # budget of 120 words gives blocks of 3 steps and a partial last block
+    # of 2 of the 32 steps; a budget of 1 word gives one step per block.
+    domain = Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]],
+                        offsets=[0.0, 0.0])
+    coeffs = make_coefficients("quadrant2d")
+    grid = TimeGrid.from_log2(1.0, 5)
+    x0 = np.array([0.0, 0.0])
+    args = (domain, coeffs, x0, grid, [16.0, 256.0], 5, 13, "splitting")
+    kw = dict(ref_steps=4 * grid.steps, want_err=True, want_dist=True)
+    assert rates._BLOCK_WORDS >= 5 * 2 * 4 * grid.steps
+    whole = _sweep_paths(*args, **kw)
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", block_words)
+    blocked = _sweep_paths(*args, **kw)
+    for key in ("sup_err", "sup_dist", "terminal", "ref_terminal"):
+        assert blocked[key].shape == whole[key].shape
+        assert blocked[key].tobytes() == whole[key].tobytes()
 
 
 def test_sweep_rows_independent_of_batch_quadrant():
