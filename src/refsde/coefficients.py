@@ -4,8 +4,9 @@ sampling-based diagnostics for linear growth and Lipschitz continuity.
 A coefficient field packages two pure callables: ``diffusion(t, x)``
 returning a d x d matrix and ``drift(t, x)`` returning a d-vector. Both
 must broadcast over leading batch axes of ``x`` (shape ``(..., d)``); a
-state-independent diffusion may return a constant ``(d, d)`` array. Matrix
-size is measured in the Frobenius norm throughout.
+state-independent diffusion may return a constant ``(d, d)`` array, and a
+state-independent drift a constant ``(d,)`` array, which the steppers
+broadcast. Matrix size is measured in the Frobenius norm throughout.
 
 The growth/Lipschitz checks certify declared constants on a sampled box
 only; the hypotheses themselves are global and the coefficients are opaque
@@ -110,8 +111,14 @@ def _two_level_diffusion(low, high, threshold, t, x):
     return np.where(x < threshold, low, high)[..., None]
 
 
+_ZERO_DRIFT = np.zeros(1)
+_ZERO_DRIFT.flags.writeable = False
+
+
 def _zero_drift(t, x):
-    return np.zeros_like(x)
+    # One shared read-only array: adding a broadcast 0.0 gives the same
+    # bits as adding a zero array of the state's shape.
+    return _ZERO_DRIFT
 
 
 def _build_ou1d(kappa=1.0, sigma0=1.0):

@@ -10,11 +10,16 @@ are immutable after construction and safe to share across workers; every
 operation is pure.
 
 Every projection is exact. The half-line, box and ball have closed forms.
-A polyhedron precomputes, for each linearly independent set of at most
-``d`` faces, the inverse Gram matrix of its normals, and projects by
-picking among these candidate active sets the KKT point of the projection
-problem: no iteration and no stopping rule. Points already inside any
-domain are returned bitwise unchanged.
+A polyhedron first splits off its *coordinate faces* (normal ``+e_j`` or
+``-e_j``) on *free* coordinates, those that only coordinate faces touch:
+they are scalar bounds, and the polyhedron is the product of those intervals
+with the polyhedron of the remaining faces, which live in the orthogonal
+coordinates. So its projection clips each free coordinate to its bounds
+and projects the rest onto the remaining faces. For these it precomputes,
+for each linearly independent set of at most ``d`` faces, the inverse Gram
+matrix of its normals, and picks among these candidate active sets the KKT
+point of the projection problem: no iteration and no stopping rule. Points
+already inside any domain are returned bitwise unchanged.
 """
 
 import itertools
@@ -69,7 +74,7 @@ class ConvexDomain:
     def distance(self, x):
         """Euclidean distance ``|x - project(x)|`` to the domain closure."""
         x = self._check_point(x)
-        return np.linalg.norm(x - self.project(x), axis=-1)
+        return row_norm(x - self.project(x))
 
     def contains(self, x, tolerance=0.0):
         """True where ``distance(x) <= tolerance``."""
@@ -195,11 +200,15 @@ class Polyhedron(ConvexDomain):
     """Intersection of halfspaces ``<a_i, x> <= c_i`` with unit normals a_i.
 
     Construction validates that every normal has unit length (within
-    ``UNIT_VECTOR_TOL``), precomputes the candidate active sets of the
-    exact projection (at most ``MAX_ACTIVE_SETS``; see ``_project``), and
-    checks that the feasible set has nonempty interior by projecting the
-    origin onto the polyhedron shrunk by a geometric sweep of margins.
-    Domains failing any check are rejected with ``ValueError``.
+    ``UNIT_VECTOR_TOL``) and turns the coordinate faces on free
+    coordinates into per-coordinate bounds (see ``_split_faces``): the
+    polyhedron is the product of those intervals and the polyhedron of the
+    remaining faces, so a box or an orthant needs no active sets at all. It
+    precomputes the candidate active sets of the remaining faces (at most
+    ``MAX_ACTIVE_SETS``; see ``_project``) and checks that the feasible set
+    has nonempty interior by projecting the origin onto the polyhedron
+    shrunk by a geometric sweep of margins. Domains failing any check are
+    rejected with ``ValueError``.
     """
 
     normals: np.ndarray
@@ -219,9 +228,14 @@ class Polyhedron(ConvexDomain):
             raise ValueError("polyhedron normals must be unit vectors")
         object.__setattr__(self, "normals", a)
         object.__setattr__(self, "offsets", c)
-        object.__setattr__(self, "_faces", a.tolist())
-        object.__setattr__(self, "_bounds", c.tolist())
-        object.__setattr__(self, "_active_sets", _active_sets(a))
+        lower, upper, rest, coupled = _split_faces(a, c)
+        object.__setattr__(self, "_lower", lower)
+        object.__setattr__(self, "_upper", upper)
+        object.__setattr__(self, "_clips", _clips(lower, upper))
+        object.__setattr__(self, "_faces", a[rest].tolist())
+        object.__setattr__(self, "_bounds", c[rest].tolist())
+        object.__setattr__(self, "_active_sets",
+                           _active_sets(a[rest], coupled))
         object.__setattr__(self, "_anchor", self._find_interior_point())
 
     @property
@@ -239,7 +253,8 @@ class Polyhedron(ConvexDomain):
         # Feasible points are returned unchanged (possibly the input array
         # itself).
         x = self._check_point(x)
-        return _project(x, self._faces, self._bounds, self._active_sets)
+        return _project(x, self._clips, self._faces, self._bounds,
+                        self._active_sets)
 
     def boundary_distance(self, x):
         margin = np.min(self.slack(x), axis=-1)
@@ -252,17 +267,18 @@ class Polyhedron(ConvexDomain):
         """Find a strictly interior point or reject the polyhedron.
 
         Sweeps a geometric sequence of margins eps and projects the origin
-        onto the shrunk constraints ``<a_i, x> <= c_i - eps``; the first
+        onto the shrunk constraints ``<a_i, x> <= c_i - eps`` (bounds of
+        free coordinates move inward by eps too); the first
         result whose every slack exceeds ``eps / 2`` certifies nonempty
         interior. A shrunk set that is empty yields no such point, so the
         sweep goes on to the next margin.
         """
-        c = self.offsets
-        scale = max(1.0, float(np.max(np.abs(c))))
+        scale = max(1.0, float(np.max(np.abs(self.offsets))))
         origin = np.zeros(self.dim)
         eps = 0.5 * scale
         while eps >= tol.INTERIOR_MARGIN_FLOOR * scale:
-            x = _project(origin, self._faces, (c - eps).tolist(),
+            x = _project(origin, _clips(self._lower + eps, self._upper - eps),
+                         self._faces, [c - eps for c in self._bounds],
                          self._active_sets)
             if np.all(self.slack(x) > 0.5 * eps):
                 return x
@@ -317,33 +333,91 @@ class Ball(ConvexDomain):
 
 # Largest number of candidate active sets, sum_{1<=k<=d} C(m, k), that a
 # Polyhedron may have: every projection of an exterior batch evaluates each.
+# Faces clipped on free coordinates do not count.
 MAX_ACTIVE_SETS = 1024
 
 
-def _active_sets(normals):
-    """Candidate active sets of a polyhedron with ``normals`` ``(m, d)``.
+def row_norm(v):
+    """Euclidean norm over the last axis of ``v``, summed in column order.
 
-    Returns ``(rows, ginv, pinv)`` for every linearly independent set S of
-    at most ``d`` faces (rank decided at ``ACTIVE_SET_RANK_RTOL``), by size
-    then index order: the face indices, the rows of
-    ``G_S^-1 = (A_S A_S^T)^-1`` and the rows of the pseudo-inverse
-    ``A_S^T G_S^-1`` (``d`` lists of ``|S|`` entries), as Python floats.
+    Numpy's ``norm(v, axis=-1)`` runs a short inner loop once per row; this
+    takes one whole-column pass per coordinate instead, and a row's result
+    does not depend on its batch. It equals ``norm(v, axis=-1)`` bitwise
+    for d <= 7, where numpy also sums in order (not pairwise).
     """
-    m, d = normals.shape
-    count = sum(math.comb(m, k) for k in range(1, min(m, d) + 1))
+    out = v[..., 0] * v[..., 0]
+    for j in range(1, v.shape[-1]):
+        out = out + v[..., j] * v[..., j]
+    return np.sqrt(out)
+
+
+def _split_faces(normals, offsets):
+    """Turn the coordinate faces on free coordinates into scalar bounds.
+
+    A coordinate face has one nonzero normal entry, equal to +-1.0; a
+    coordinate is free when every face touching it is a coordinate face.
+    On a free coordinate j, ``+e_j`` with offset c is the upper bound c and
+    ``-e_j`` the lower bound -c, and repeated faces keep the tightest.
+    Returns the bounds ``(lower, upper)``, each ``(d,)`` and infinite where
+    nothing bounds a free coordinate and on every coupled coordinate, the
+    mask of the remaining faces and the indices of the coupled (not free)
+    coordinates, the only ones the remaining faces touch.
+    """
+    d = normals.shape[1]
+    nonzero = normals != 0.0
+    on_axis = (nonzero.sum(axis=1) == 1) & (np.abs(normals).max(axis=1) == 1.0)
+    free = ~np.any(nonzero[~on_axis], axis=0)
+    axis = np.argmax(nonzero, axis=1)
+    clipped = on_axis & free[axis]
+    lower = np.full(d, -np.inf)
+    upper = np.full(d, np.inf)
+    for j, a, c in zip(axis[clipped], normals[clipped], offsets[clipped]):
+        # A zero bound is +0.0, as the face formula x - (x - c) gives.
+        if a[j] > 0.0:
+            upper[j] = min(upper[j], c + 0.0)
+        else:
+            lower[j] = max(lower[j], 0.0 - c)
+    return lower, upper, ~clipped, np.flatnonzero(~free)
+
+
+def _clips(lower, upper):
+    """``(j, lo, hi)`` for every coordinate j with a finite bound."""
+    bounded = np.isfinite(lower) | np.isfinite(upper)
+    return [(int(j), float(lower[j]), float(upper[j]))
+            for j in np.flatnonzero(bounded)]
+
+
+def _active_sets(normals, coupled):
+    """Candidate active sets of the faces ``normals`` ``(m, d)``.
+
+    The faces touch only the ``coupled`` coordinates, so the sets are
+    those of the faces restricted to them. Returns ``(rows, ginv, pinv)``
+    for every linearly independent set S of at most ``len(coupled)`` faces
+    (rank decided at ``ACTIVE_SET_RANK_RTOL``), by size then index order:
+    the face indices, the rows of ``G_S^-1 = (A_S A_S^T)^-1`` and the rows
+    of the pseudo-inverse ``A_S^T G_S^-1`` (``d`` lists of ``|S|`` entries,
+    all zero on the other coordinates), as Python floats.
+    """
+    d = normals.shape[1]
+    sub = normals[:, coupled]
+    m, k_max = sub.shape
+    count = sum(math.comb(m, k) for k in range(1, min(m, k_max) + 1))
     if count > MAX_ACTIVE_SETS:
         raise ValueError(
-            f"polyhedron with {m} halfspaces in dimension {d} has {count} "
-            f"candidate active sets; at most {MAX_ACTIVE_SETS} are supported"
+            f"polyhedron with {m} faces on {k_max} coupled coordinates has "
+            f"{count} candidate active sets; at most {MAX_ACTIVE_SETS} are "
+            "supported"
         )
     sets = []
-    for k in range(1, min(m, d) + 1):
+    for k in range(1, min(m, k_max) + 1):
         for rows in itertools.combinations(range(m), k):
-            a_s = normals[list(rows)]
+            a_s = sub[list(rows)]
             if np.linalg.matrix_rank(a_s, rtol=tol.ACTIVE_SET_RANK_RTOL) < k:
                 continue
             ginv = np.linalg.inv(a_s @ a_s.T)
-            pinv = np.linalg.pinv(a_s)  # from the SVD: no G_S^-1 rounding
+            pinv = np.zeros((d, k))
+            # From the SVD: no G_S^-1 rounding.
+            pinv[coupled] = np.linalg.pinv(a_s)
             sets.append((rows, ginv.tolist(), pinv.tolist()))
     return sets
 
@@ -361,8 +435,16 @@ def _combine(coeffs, terms):
     return out
 
 
-def _project(x, faces, offsets, active_sets):
-    """Metric projection of ``x`` ``(..., d)`` onto ``<a_i, x> <= c_i``.
+def _project(x, clips, faces, offsets, active_sets):
+    """Metric projection of ``x`` ``(..., d)`` onto a polyhedron.
+
+    The polyhedron is the product of the intervals ``clips`` on its free
+    coordinates and of ``<a_i, x> <= c_i`` over the remaining ``faces``,
+    which touch only the other coordinates. The two factors live in
+    orthogonal coordinates, so the projection is the pair of their
+    projections: each clipped column goes through ``np.clip`` against its
+    scalar bounds (which keeps a value inside them, ``-0.0`` included),
+    the rest through the candidates below.
 
     For an exterior point, each candidate S gives ``r_S = A_S x - c_S``,
     multipliers ``lam_S = G_S^-1 r_S`` and the point ``p_S = x - A_S^T
@@ -374,6 +456,13 @@ def _project(x, faces, offsets, active_sets):
     on coordinate columns, so a point's result does not depend on its
     batch; feasible points are returned bitwise unchanged.
     """
+    if clips:
+        x = x.copy()
+        for j, lo, hi in clips:
+            col = x[..., j]
+            np.clip(col, lo, hi, out=col)
+    if not faces:
+        return x
     d = x.shape[-1]
     cols = [x[..., j] for j in range(d)]
     res = []

@@ -23,6 +23,7 @@ import numpy as np
 
 from .brownian import TimeGrid, halve_increments, sample_increments
 from .errors import IntegrationError, RateFitError
+from .geometry import row_norm
 from .penalized import euler_step, splitting_step
 from .reflected import projected_euler_step
 from . import tolerances as tol
@@ -224,8 +225,12 @@ def _window_ranges(vals, windows):
     return out
 
 
-def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0,
-                           chunk_paths=64):
+# Paths per sampling chunk of ``brownian_modulus_table``; rows are
+# independent, so the chunk size changes only the memory footprint.
+_MODULUS_CHUNK_PATHS = 64
+
+
+def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
     """Pooled L^p norm of the Brownian modulus at scales 1/n, per level."""
     levels = [int(n) for n in levels]
     windows = []
@@ -236,8 +241,8 @@ def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0,
         windows.append(w)
     order = np.argsort(windows)  # ascending windows for the shared tables
     sups = np.empty((len(levels), num_paths))
-    for lo in range(0, num_paths, chunk_paths):
-        hi = min(lo + chunk_paths, num_paths)
+    for lo in range(0, num_paths, _MODULUS_CHUNK_PATHS):
+        hi = min(lo + _MODULUS_CHUNK_PATHS, num_paths)
         inc = sample_increments(grid, master_seed, range(lo, hi), 1)[..., 0]
         w_vals = np.concatenate(
             [np.zeros((hi - lo, 1)), np.cumsum(inc, axis=1)], axis=1)
@@ -277,7 +282,9 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     and the ``(P, d)`` increment broadcast across the level axis. Returns
     per-path sup errors and sup boundary distances, shape ``(L, P)``, as
     requested, and the terminal states of the levels, ``(L, P, d)``, and of
-    the reference, ``(P, d)``.
+    the reference, ``(P, d)``. A non-finite level or reference state raises
+    ``IntegrationError`` naming its step and path; the per-step guards are
+    whole-array tests, and the offending row is looked up only on failure.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.dim,):
@@ -344,14 +351,21 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
                     x_ref, _ = projected_euler_step(
                         domain, coeffs, t + j * h_ref, x_ref,
                         inc_f[(k - b0) * factor + j], h_ref)
+                    if not np.isfinite(x_ref).all():
+                        s = k * factor + j + 1
+                        pi = _first_bad_row(x_ref)
+                        raise IntegrationError(
+                            f"non-finite reference state at step {s}, "
+                            f"path {pi}",
+                            step_index=s, path_index=pi,
+                        )
             if want_dist:
                 np.maximum(sup_dist, domain.distance(x), out=sup_dist)
             x, _ = step(domain, coeffs, t, x, inc_pen[k - b0], h, level)
-            finite = np.isfinite(x).all(axis=-1)
-            if not finite.all():
+            if not np.isfinite(x).all():
                 # Row-major order over (level, path): the first bad row is
                 # the one a level-by-level loop would have hit first.
-                li, pi = divmod(int(np.argmin(finite)), num_paths)
+                li, pi = divmod(_first_bad_row(x), num_paths)
                 n = levels[li]
                 raise IntegrationError(
                     f"non-finite state at step {k + 1}, level n = {n:g}, "
@@ -359,8 +373,7 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
                     step_index=k + 1, path_index=pi, level=n,
                 )
             if want_err:
-                np.maximum(sup_err, np.linalg.norm(x - x_ref, axis=-1),
-                           out=sup_err)
+                np.maximum(sup_err, row_norm(x - x_ref), out=sup_err)
     if want_dist:
         np.maximum(sup_dist, domain.distance(x), out=sup_dist)
 
@@ -370,6 +383,12 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
         "terminal": x,
         "ref_terminal": x_ref,
     }
+
+
+def _first_bad_row(x):
+    """Flat index, in row-major order, of the first row of ``x`` that is
+    not finite."""
+    return int(np.argmin(np.isfinite(x).all(axis=-1)))
 
 
 def _time_major(inc):

@@ -124,7 +124,23 @@ def test_schmidt_levels():
     x = np.array([[0.5], [1.0], [1.5]])
     sig = field.diffusion(0.0, x)
     np.testing.assert_array_equal(sig[:, 0, 0], [1.0, 2.0, 2.0])
-    np.testing.assert_array_equal(field.drift(0.0, x), np.zeros((3, 1)))
+    # The drift is a constant (1,) zero that the steppers broadcast.
+    np.testing.assert_array_equal(
+        np.broadcast_to(field.drift(0.0, x), x.shape), np.zeros((3, 1)))
+
+
+def test_schmidt_drift_is_one_shared_read_only_zero():
+    field = make_coefficients("schmidt1d")
+    a = field.drift(0.0, np.zeros((5, 1)))
+    b = field.drift(0.7, np.ones((2, 3, 1)))
+    assert a is b
+    assert a.shape == (1,) and not a.flags.writeable and not np.any(a)
+    assert check_linear_growth(field, field.growth_constant).passed
+    # Adding the broadcast constant gives the bits of a zero array.
+    x = np.random.default_rng(2).standard_normal((4, 7, 1))
+    np.testing.assert_array_equal(
+        (x + 0.01 * b).view(np.uint64),
+        (x + 0.01 * np.zeros_like(x)).view(np.uint64))
 
 
 def test_catalog_parameter_overrides():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from refsde import geometry
 from refsde.geometry import (
     MAX_ACTIVE_SETS,
     Ball,
@@ -13,6 +14,7 @@ from refsde.geometry import (
     NormalDirection,
     Polyhedron,
     domain_from_spec,
+    row_norm,
     sample_points,
 )
 
@@ -81,6 +83,67 @@ def test_polyhedron_rejects_too_many_active_sets():
     polygon(44)
     with pytest.raises(ValueError, match="active sets"):
         polygon(45)
+
+
+def test_rejection_counts_only_faces_on_coupled_coordinates():
+    # A 45-gon on coordinates 1 and 2 next to coordinate 0 clipped to
+    # [-1, 1]: 47 faces in dimension 3, of which 45 stay faces.
+    theta = 2.0 * np.pi * np.arange(45) / 45
+    gon = np.stack([np.zeros(45), np.cos(theta), np.sin(theta)], 1)
+    with pytest.raises(ValueError, match="45 faces on 2 coupled coordinates "
+                       "has 1035 candidate active sets"):
+        Polyhedron(normals=np.vstack([gon, [[1.0, 0.0, 0.0],
+                                            [-1.0, 0.0, 0.0]]]),
+                   offsets=np.ones(47))
+
+
+def test_box_polyhedron_in_six_dimensions_matches_box():
+    # 12 coordinate faces on free coordinates: clipped, so none of the
+    # sum_{k<=6} C(12, k) = 2,509 candidate active sets is enumerated.
+    lower = np.array([-1.0, 0.0, -2.5, 0.3, -0.7, 1.0])
+    upper = lower + np.array([2.0, 0.5, 1.0, 3.0, 0.2, 4.0])
+    eye = np.eye(6)
+    dom = Polyhedron(normals=np.vstack([eye, -eye]),
+                     offsets=np.concatenate([upper, -lower]))
+    assert dom._active_sets == []
+    box = Box(lower=lower, upper=upper)
+    x = 3.0 * np.random.default_rng(13).standard_normal((500, 6))
+    x[0], x[1] = lower, upper
+    assert dom.project(x).tobytes() == box.project(x).tobytes()
+    assert dom.project(x[7]).tobytes() == box.project(x[7]).tobytes()
+    assert np.all(dom.slack(dom.interior_point()) > 0.0)
+
+
+def test_quadrant_enumerates_no_active_sets(monkeypatch):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the quadrant needs no linear algebra")
+    for name in ("matrix_rank", "inv", "pinv"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    dom = quadrant()
+    assert dom._active_sets == [] and dom._faces == []
+    np.testing.assert_array_equal(dom.interior_point(), [0.5, 0.5])
+    # Feasible rows come back bitwise, a -0.0 on the bound included.
+    x = np.array([[-0.0, 1.0], [-1.0, -0.0], [2.0, -3.0]])
+    assert dom.project(x).tobytes() == np.array(
+        [[-0.0, 1.0], [0.0, -0.0], [2.0, 0.0]]).tobytes()
+
+
+def test_coordinate_faces_on_coupled_coordinates_stay_faces():
+    # Coordinate 0 carries only coordinate faces (one of them redundant),
+    # so it is clipped to [0, 2]; the diagonal face couples coordinates 1
+    # and 2, so their coordinate faces stay faces.
+    dom = Polyhedron(normals=[[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                              [0.0, 0.0, -1.0], [0.0, SQ2, SQ2],
+                              [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                     offsets=[0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+    assert dom._clips == [(0, 0.0, 2.0)]
+    assert dom._faces == [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
+                          [0.0, SQ2, SQ2]]
+    assert len(dom._active_sets) == 6  # 3 single faces and 3 pairs
+    px = dom.project(np.array([3.0, 2.0, 2.0]))
+    np.testing.assert_allclose(px, [2.0, SQ2, SQ2], atol=1e-15)
+    triangle = all_domains()[2]
+    assert triangle._clips == [] and len(triangle._faces) == 3
 
 
 def test_interior_point_is_strictly_inside():
@@ -155,6 +218,43 @@ def test_project_quadrant_is_componentwise_maximum_bitwise():
                                       np.maximum(row, 0.0))
 
 
+@pytest.mark.parametrize("dom", [
+    quadrant(),
+    # Coordinate 0 in [0, 2], coordinate 1 in [-1, 0], coordinate 2 >= 0.
+    Polyhedron(normals=[[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                        [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]],
+               offsets=[0.0, 2.0, 0.0, 1.0, 0.0]),
+    # Coordinates 0 and 1 clipped to [0, 1]; a triangle couples 2 and 3.
+    Polyhedron(normals=[[-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                        [0.0, -1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                        [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
+                        [0.0, 0.0, SQ2, SQ2]],
+               offsets=[0.0, 1.0, 0.0, 1.0, 0.0, 0.0, SQ2]),
+], ids=["quadrant", "box3d", "product4d"])
+def test_clipped_zeros_keep_their_sign_whatever_the_batch(dom):
+    # Signed zeros on zero bounds, scattered over positions and strides of
+    # a level batch: each row's bits equal its projection on its own.
+    rng = np.random.default_rng(30 + dom.dim)
+    x = rng.standard_normal((9, 400, dom.dim))
+    flat = x.reshape(-1, dom.dim)
+    flat[rng.integers(0, len(flat), 600), rng.integers(0, dom.dim, 600)] = -0.0
+    flat[rng.integers(0, len(flat), 200), rng.integers(0, dom.dim, 200)] = 0.0
+    flat[::7] = -0.0
+    flat[3::11, 0] = -0.0
+    wide = np.repeat(x, 2, axis=1)[:, ::2]  # a strided view of the same rows
+    rows = np.stack([dom.project(row) for row in flat]).reshape(x.shape)
+    assert dom.project(x).tobytes() == rows.tobytes()
+    assert dom.project(wide).tobytes() == rows.tobytes()
+    for j, lo, hi in dom._clips:
+        on = flat[:, j] == 0.0
+        assert np.array_equal(np.signbit(rows.reshape(flat.shape)[on, j]),
+                              np.signbit(flat[on, j]))
+        # Exterior coordinates land exactly on their bound.
+        col = rows.reshape(flat.shape)[:, j]
+        assert np.all(col[flat[:, j] < lo] == lo)
+        assert np.all(col[flat[:, j] > hi] == hi)
+
+
 def test_project_acute_wedge_is_fast_and_variational():
     dom = wedge(0.01)
     x = np.random.default_rng(11).standard_normal((2000, 2))
@@ -171,6 +271,23 @@ def test_project_acute_wedge_is_fast_and_variational():
 
 
 # -- dist -------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_row_norm_matches_numpy_norm_bitwise(d):
+    rng = np.random.default_rng(20 + d)
+    v = rng.standard_normal((9, 40, d)) \
+        * 10.0 ** rng.integers(-170, 170, size=(9, 40, d))
+    v[0, 0] = 0.0
+    v[0, 1] = -0.0
+    v[0, 2, -1] = np.inf
+    v[0, 3, 0] = -np.inf
+    v[0, 4, -1] = np.nan
+    v[0, 5] = np.nan
+    v[0, 6, 0], v[0, 6, -1] = np.inf, np.nan
+    with np.errstate(over="ignore", under="ignore"):
+        assert row_norm(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+        for row in v[0, :8]:
+            assert row_norm(row).tobytes() == np.linalg.norm(row).tobytes()
 
 def test_dist_examples():
     assert HalfLine(0.0).distance(np.array([-3.0])) == 3.0
@@ -258,33 +375,65 @@ def polyhedra(draw):
 
     Optionally adds axis-aligned faces, an acute wedge (two faces whose
     normals are nearly opposite) and a redundant face (a copy of another
-    face shifted outward). Sets of at most d distinct normals are kept at
-    least 0.01 from linear dependence, so the projection's rounding stays
-    far below the tolerances checked.
+    face shifted outward). Half of the draws are products: the random
+    faces and the wedge are zero on a random nonempty set of coordinates,
+    which carry only coordinate faces, some of them redundant, so the
+    projection clips them. Sets of distinct normals of the other faces, up
+    to the number of coordinates they touch, are kept at least 0.01 from
+    linear dependence, so the projection's rounding stays far below the
+    tolerances checked.
     """
     d = draw(st.sampled_from([2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    normals = list(rng.standard_normal((draw(st.integers(1, 5)), d)))
+    free = []
+    if draw(st.booleans()):
+        # One free coordinate leaves two coupled ones in d = 3; with one
+        # coupled coordinate its faces are coordinate faces too.
+        free = sorted(rng.permutation(d)[:draw(st.sampled_from([1, d]))])
+    coupled = [j for j in range(d) if j not in free]
+    normals = []
+    if coupled:
+        normals = list(rng.standard_normal((draw(st.integers(1, 5)), d)))
+        for a in normals:
+            a[free] = 0.0
     if draw(st.booleans()):
         normals += list(np.vstack([np.eye(d), -np.eye(d)])[
             rng.permutation(2 * d)[:draw(st.integers(1, d))]])
-    if draw(st.booleans()):
+    if len(coupled) >= 2 and draw(st.booleans()):
         alpha = draw(st.floats(0.01, 0.3))
-        u, v = np.linalg.qr(rng.standard_normal((d, 2)))[0].T
+        q = np.zeros((d, 2))
+        q[coupled] = np.linalg.qr(rng.standard_normal((len(coupled), 2)))[0]
+        u, v = q.T
         normals += [-np.sin(alpha) * u + np.cos(alpha) * v,
                     -np.sin(alpha) * u - np.cos(alpha) * v]
-    normals = np.array([a / np.linalg.norm(a) for a in normals])
     center = rng.standard_normal(d)
-    offsets = normals @ center + rng.uniform(0.05, 2.0, size=len(normals))
+    if normals:
+        normals = np.array([a / np.linalg.norm(a) for a in normals])
+        offsets = normals @ center + rng.uniform(0.05, 2.0, size=len(normals))
+    else:
+        normals, offsets = np.empty((0, d)), np.empty(0)
     if draw(st.booleans()):
-        i = draw(st.integers(0, len(normals) - 1))
-        normals = np.vstack([normals, normals[i]])
-        offsets = np.append(offsets, offsets[i] + rng.uniform(0.0, 1.0))
+        i = draw(st.integers(0, len(normals) - 1)) if len(normals) else None
+        if i is not None:
+            normals = np.vstack([normals, normals[i]])
+            offsets = np.append(offsets, offsets[i] + rng.uniform(0.0, 1.0))
+    # Faces on free coordinates are clipped; the others live in the
+    # coupled coordinates and meet in sets of at most len(coupled).
     distinct = np.unique(normals, axis=0)
-    for k in range(2, min(d, len(distinct)) + 1):
+    distinct = distinct[np.all(distinct[:, free] == 0.0, axis=1)][:, coupled]
+    for k in range(2, min(len(coupled), len(distinct)) + 1):
         for rows in itertools.combinations(range(len(distinct)), k):
             sigma = np.linalg.svd(distinct[list(rows)], compute_uv=False)
             assume(sigma[-1] >= 0.01)
+    for j in free:
+        for sign in (1.0, -1.0):
+            for _ in range(draw(st.integers(0, 2))):
+                e = np.zeros(d)
+                e[j] = sign
+                normals = np.vstack([normals, e])
+                offsets = np.append(offsets, sign * center[j]
+                                    + rng.uniform(0.05, 2.0))
+    assume(len(normals) > 0)
     dom = Polyhedron(normals=normals, offsets=offsets)
     x = center + 3.0 * rng.standard_normal((200, d))
     y = center + 3.0 * rng.standard_normal((200, d))

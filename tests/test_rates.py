@@ -333,6 +333,33 @@ def test_sweep_non_finite_guard_names_first_bad_row():
     assert err.value.path_index == pi
 
 
+@pytest.mark.parametrize("ref_steps, first_bad", [(None, 129), (1024, 513)])
+def test_sweep_guards_the_reference_state(ref_steps, first_bad):
+    # The drift is +inf on the reference's (P, d) batch from t = 0.5 on,
+    # and the ou1d drift on the levels' (L, P, d) batch, so only the
+    # reference blows up. Unguarded, weak_compare returned a CDF distance
+    # of 1.0 and strong_error_sweep failed on non-finite standard errors.
+    ou = make_coefficients("ou1d")
+
+    def drift(t, x):
+        return ou.drift(t, x) + (np.inf if x.ndim == 2 and t >= 0.5 else 0.0)
+
+    coeffs = CoefficientField(name="reference-blowup", dim=1,
+                              diffusion=ou.diffusion, drift=drift)
+    grid = TimeGrid.from_log2(1.0, 8)
+    args = (HalfLine(0.0), coeffs)
+    x0 = np.array([0.5])
+    levels = [16, 64, 256, 1024]
+    with pytest.raises(IntegrationError, match="reference") as err:
+        strong_error_sweep(*args, x0, grid, levels, 50, 3,
+                           reference_steps=ref_steps)
+    assert (err.value.step_index, err.value.path_index) == (first_bad, 0)
+    with pytest.raises(IntegrationError, match="reference") as err:
+        weak_compare(*args, levels, grid, 50, "cdf", x0, 3,
+                     reference_steps=ref_steps)
+    assert (err.value.step_index, err.value.path_index) == (first_bad, 0)
+
+
 def test_sweep_euler_guard():
     domain = HalfLine(0.0)
     coeffs = make_coefficients("ou1d")
