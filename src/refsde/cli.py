@@ -35,7 +35,7 @@ from .brownian import TimeGrid
 from .coefficients import check_linear_growth, check_lipschitz, \
     make_coefficients
 from .errors import ConfigError, IntegrationError, RateFitError
-from .geometry import Ball, domain_from_spec, sample_points
+from .geometry import Ball, domain_from_spec, row_norm, sample_points
 from .rates import boundary_distance_sweep, fit_rate, monotone_decreasing, \
     strong_error_sweep, weak_compare
 from . import tolerances as tol
@@ -323,14 +323,13 @@ def _run_validate(config):
 
     pts = sample_points(domain, 2000, seed=config.master_seed, spread=3.0)
     twice = domain.project(pts)
-    idem = float(np.max(np.linalg.norm(domain.project(twice) - twice,
-                                       axis=-1)))
+    idem = float(np.max(row_norm(domain.project(twice) - twice)))
     checks.append({"name": "projection_idempotent", "passed": idem <= 1e-10,
                    "detail": f"max drift {idem:.3e}"})
     rng = np.random.default_rng(config.master_seed)
     z = rng.standard_normal((2000, domain.dim)) * 3.0
-    gap_out = np.linalg.norm(domain.project(z) - domain.project(pts), axis=-1)
-    gap_in = np.linalg.norm(z - pts, axis=-1)
+    gap_out = row_norm(domain.project(z) - domain.project(pts))
+    gap_in = row_norm(z - pts)
     nonexp = float(np.max(gap_out - gap_in))
     checks.append({"name": "projection_nonexpansive",
                    "passed": nonexp <= 1e-10,

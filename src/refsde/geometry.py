@@ -170,6 +170,7 @@ class Box(ConvexDomain):
             raise ValueError("box requires lower_i < upper_i on every axis")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
+        object.__setattr__(self, "_clips", _clips(lo, up))
 
     @property
     def dim(self):
@@ -177,7 +178,7 @@ class Box(ConvexDomain):
 
     def project(self, x):
         x = self._check_point(x)
-        return np.clip(x, self.lower, self.upper)
+        return _clip_columns(x, self._clips)
 
     def boundary_distance(self, x):
         x = self._check_point(x)
@@ -223,7 +224,7 @@ class Polyhedron(ConvexDomain):
             raise ValueError("polyhedron needs at least one halfspace")
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(c)):
             raise ValueError("polyhedron data must be finite")
-        norms = np.linalg.norm(a, axis=1)
+        norms = row_norm(a)
         if np.any(np.abs(norms - 1.0) > tol.UNIT_VECTOR_TOL):
             raise ValueError("polyhedron normals must be unit vectors")
         object.__setattr__(self, "normals", a)
@@ -311,7 +312,7 @@ class Ball(ConvexDomain):
     def project(self, x):
         x = self._check_point(x)
         delta = x - self.center
-        r = np.linalg.norm(delta, axis=-1)
+        r = row_norm(delta)
         outside = r > self.radius
         if not np.any(outside):
             return x
@@ -321,7 +322,7 @@ class Ball(ConvexDomain):
 
     def boundary_distance(self, x):
         x = self._check_point(x)
-        return np.abs(self.radius - np.linalg.norm(x - self.center, axis=-1))
+        return np.abs(self.radius - row_norm(x - self.center))
 
     def interior_point(self):
         return self.center.copy()
@@ -387,6 +388,19 @@ def _clips(lower, upper):
             for j in np.flatnonzero(bounded)]
 
 
+def _clip_columns(x, clips):
+    """``x`` with each column j of ``clips`` clipped to its scalar bounds,
+    or ``x`` itself if there are none. Scalar bounds keep a value inside them
+    bit for bit, ``-0.0`` included, whatever the batch; array bounds can
+    return a ``-0.0`` on a zero bound as either sign."""
+    if not clips:
+        return x
+    out = np.empty_like(x) if len(clips) == x.shape[-1] else x.copy()
+    for j, lo, hi in clips:
+        np.clip(x[..., j], lo, hi, out=out[..., j])
+    return out
+
+
 def _active_sets(normals, coupled):
     """Candidate active sets of the faces ``normals`` ``(m, d)``.
 
@@ -442,9 +456,8 @@ def _project(x, clips, faces, offsets, active_sets):
     coordinates and of ``<a_i, x> <= c_i`` over the remaining ``faces``,
     which touch only the other coordinates. The two factors live in
     orthogonal coordinates, so the projection is the pair of their
-    projections: each clipped column goes through ``np.clip`` against its
-    scalar bounds (which keeps a value inside them, ``-0.0`` included),
-    the rest through the candidates below.
+    projections: each clipped column goes through ``_clip_columns``, the
+    rest through the candidates below.
 
     For an exterior point, each candidate S gives ``r_S = A_S x - c_S``,
     multipliers ``lam_S = G_S^-1 r_S`` and the point ``p_S = x - A_S^T
@@ -456,11 +469,7 @@ def _project(x, clips, faces, offsets, active_sets):
     on coordinate columns, so a point's result does not depend on its
     batch; feasible points are returned bitwise unchanged.
     """
-    if clips:
-        x = x.copy()
-        for j, lo, hi in clips:
-            col = x[..., j]
-            np.clip(col, lo, hi, out=col)
+    x = _clip_columns(x, clips)
     if not faces:
         return x
     d = x.shape[-1]

@@ -15,9 +15,10 @@ term ``-n (x - project(x))``:
 Both return the trajectory together with the accumulated penalty process
 (the running integral of the penalty drift) and the sup of the distance to
 the domain along the path. Step kernels are shape-agnostic over leading
-batch axes, and ``level`` may be an array that broadcasts against them; the
-per-path functions here drive them with a single point, and the sweep in
-``rates`` drives them with one ``(levels, paths, d)`` array.
+batch axes, and ``level`` may be an array that broadcasts against them.
+The one step loop, ``rates._lockstep``, drives them: the sweeps with a
+``(levels, paths, d)`` array, the per-path functions here with one level
+and one path, whose run they record.
 """
 
 from dataclasses import dataclass
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import TimeGrid
-from .errors import IntegrationError
-from . import tolerances as tol
 
 __all__ = [
     "PenalizedTrajectory",
@@ -81,54 +80,25 @@ def splitting_step(domain, coeffs, t, x, dw, h, level):
 
 def euler_penalized(domain, coeffs, path, x0, level):
     """Integrate the penalized SDE with the explicit scheme along ``path``."""
-    h = path.grid.step
-    if level * h > 1.0 + 1e-12:
-        raise ValueError(
-            f"explicit penalization is unstable for n*h = {level * h:.4g} > 1; "
-            "reduce n, refine the grid, or use the splitting scheme"
-        )
-    return _integrate(domain, coeffs, path, x0, level, "euler")
+    return _record(domain, coeffs, path, x0, level, "euler")
 
 
 def splitting_penalized(domain, coeffs, path, x0, level):
     """Integrate the penalized SDE with the splitting scheme along ``path``."""
-    return _integrate(domain, coeffs, path, x0, level, "splitting")
+    return _record(domain, coeffs, path, x0, level, "splitting")
 
 
-def _integrate(domain, coeffs, path, x0, level, scheme):
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (domain.dim,):
-        raise ValueError(f"x0 must have shape ({domain.dim},)")
-    if not domain.contains(x0, tol.MEMBERSHIP_TOL):
-        raise ValueError("x0 must lie in the domain closure")
-    if coeffs.dim != domain.dim:
-        raise ValueError("coefficient and domain dimensions differ")
-    grid = path.grid
-    if path.dim != domain.dim:
-        raise ValueError("path and domain dimensions differ")
-
-    m, d = grid.steps, domain.dim
-    h = grid.step
-    states = np.empty((m + 1, d))
-    penalty = np.zeros((m + 1, d))
-    states[0] = x0
-    x = x0
-    max_dist = 0.0
-    for k in range(m):
-        t = k * h
-        dw = path.increments[k]
-        max_dist = max(max_dist, float(domain.distance(x)))
-        if scheme == "euler":
-            x, dk = euler_step(domain, coeffs, t, x, dw, h, level)
-        else:
-            x, dk = splitting_step(domain, coeffs, t, x, dw, h, level)
-        if not np.all(np.isfinite(x)):
-            raise IntegrationError(
-                f"non-finite state at step {k + 1} (n = {level})",
-                step_index=k + 1, level=level,
-            )
-        states[k + 1] = x
-        penalty[k + 1] = penalty[k] + dk
-    max_dist = max(max_dist, float(domain.distance(x)))
-    return PenalizedTrajectory(grid=grid, states=states, penalty=penalty,
+def _record(domain, coeffs, path, x0, level, scheme):
+    """A one-path, one-level run of the sweep's step loop, recorded."""
+    from .rates import _lockstep  # rates imports this module
+    inc = path.increments[:, None]
+    run = [(x[0, 0], dk[0, 0]) for x, dk, _, _ in _lockstep(
+        domain, coeffs, x0, path.grid, [level], 1, scheme, None,
+        [(inc, inc)])]
+    states, dk = map(np.array, zip(*run))
+    # Summed from the zero first row, as 0.0 + dk: the -0.0 increments of
+    # steps inside the domain accumulate to +0.0, not -0.0.
+    penalty = np.cumsum(dk, axis=0)
+    max_dist = float(np.max(domain.distance(states)))
+    return PenalizedTrajectory(grid=path.grid, states=states, penalty=penalty,
                                max_dist=max_dist, scheme=scheme, level=level)

@@ -3,10 +3,12 @@
 The sweep drivers integrate every requested penalization level, and the
 projected-Euler reference where one is needed, in lockstep along shared
 Brownian paths (common random numbers). All levels are stacked into one
-state array and advanced by one kernel call per grid step. Every
-operation acts row by row, so a path's result does not depend on which
-other paths or levels share the batch, and outputs are bitwise
-reproducible for a given configuration.
+state array and advanced by one kernel call per grid step. This step loop,
+``_lockstep``, is the only one: the per-path integrators of ``penalized``
+and ``reflected`` record one-path runs of it. Every operation acts row by
+row, so a path's result does not depend on which other paths or levels
+share the batch (a one-path run gives the bytes of its row in a sweep), and
+outputs are bitwise reproducible for a given configuration.
 
 Errors are pooled as ``(mean over paths of sup^p)^(1/p)``; the bias of the
 root is accepted and the reported standard error is propagated to the same
@@ -156,7 +158,7 @@ def lp_sup_error(ref, approx, p):
         raise ValueError("moment order p must be >= 1")
     if ref.grid != approx.grid or ref.states.shape != approx.states.shape:
         raise ValueError("trajectories must share a grid; coarsen first")
-    gap = np.linalg.norm(ref.states - approx.states, axis=-1)
+    gap = row_norm(ref.states - approx.states)
     return float(np.max(gap)) ** p
 
 
@@ -190,7 +192,7 @@ def modulus_of_continuity(values, delta, horizon, step):
             raise ValueError("vector path too large for the pairwise scan")
         best = 0.0
         for off in range(1, w + 1):
-            gap = np.linalg.norm(vals[off:] - vals[:-off], axis=-1)
+            gap = row_norm(vals[off:] - vals[:-off])
             best = max(best, float(np.max(gap)))
         return best
     raise ValueError("values must be (n_times,) or (n_times, d)")
@@ -273,18 +275,25 @@ class WeakRow:
     value: float
 
 
-def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
-                 scheme, ref_steps, want_err, want_dist):
-    """Integrate all levels (and the reference) along shared paths.
+def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
+              blocks):
+    """The one step loop: advance the levels and the reference in lockstep.
 
-    The levels share one ``(L, P, d)`` state array that a single kernel call
-    advances per grid step, with the level passed as an ``(L, 1, 1)`` column
-    and the ``(P, d)`` increment broadcast across the level axis. Returns
-    per-path sup errors and sup boundary distances, shape ``(L, P)``, as
-    requested, and the terminal states of the levels, ``(L, P, d)``, and of
-    the reference, ``(P, d)``. A non-finite level or reference state raises
-    ``IntegrationError`` naming its step and path; the per-step guards are
-    whole-array tests, and the offending row is looked up only on failure.
+    One kernel call per grid step advances the ``(L, P, d)`` states of all
+    levels, with the level as an ``(L, 1, 1)`` column and the ``(P, d)``
+    increment broadcast over it. The projected-Euler reference, if
+    ``ref_steps`` is given, takes ``factor = ref_steps / grid.steps``
+    sub-steps per grid step on its ``(P, d)`` states; ``levels`` may then be
+    empty. ``blocks`` yields time-major increments: ``(s, P, d)`` for the
+    levels' next ``s`` steps and ``(s * factor, P, d)`` for the reference.
+
+    Yields ``(x, dk, x_ref, dy)`` at every grid time: the level states with
+    the step's penalty increments, and the reference state (None without
+    one) with its driver increment over the step. At time 0 the increments
+    are the initial values, 0 and ``x0``, so their running sums are the
+    penalty and the driver. A non-finite state raises ``IntegrationError``
+    naming its step and path; the guards are whole-array tests, and the
+    offending row is looked up only on failure.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.dim,):
@@ -294,7 +303,8 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     if coeffs.dim != domain.dim:
         raise ValueError("coefficient and domain dimensions differ")
     levels = [float(n) for n in levels]
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+    if (not (levels or ref_steps)
+            or any(b <= a for a, b in zip(levels, levels[1:]))):
         raise ValueError("levels must be nonempty and strictly increasing")
     h = grid.step
     if scheme == "euler":
@@ -309,48 +319,32 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
         step = splitting_step
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    factor = 1
     if ref_steps is not None:
         ref_steps = int(ref_steps)
         if ref_steps < grid.steps or ref_steps % grid.steps != 0:
             raise ValueError("reference grid must refine the sweep grid")
+        factor = ref_steps // grid.steps
+        h_ref = TimeGrid(grid.horizon, ref_steps).step
 
-    # The reference, if any, steps on the finest grid; the levels step on
-    # block sums of ``factor`` fine increments.
     d = domain.dim
-    m = grid.steps
-    finest = TimeGrid(grid.horizon, ref_steps or m)
-    factor = finest.steps // m
-    h_ref = finest.step
-    x_ref = None
-    if ref_steps is not None:
-        x_ref = np.broadcast_to(x0, (num_paths, d)).copy()
     level = np.array(levels)[:, None, None]
     x = np.broadcast_to(x0, (len(levels), num_paths, d)).copy()
-    sup_err = np.zeros(x.shape[:2]) if want_err else None
-    sup_dist = np.zeros(x.shape[:2]) if want_dist else None
-
-    # Increments arrive in time blocks of at most ``_BLOCK_WORDS`` fine
-    # words, so resident memory stays flat no matter how many paths there
-    # are. Block boundaries align with the coarsening factor, so the
-    # pairwise block sums match a whole-path generation bitwise. Each block
-    # is copied to time-major order, ``(steps, P, d)``, so that every step
-    # reads one contiguous ``(P, d)`` slab instead of a column strided by
-    # the block's length.
-    block = max(1, _BLOCK_WORDS // max(1, num_paths * d * factor))
-    paths = range(num_paths)
-    for b0 in range(0, m, block):
-        b1 = min(b0 + block, m)
-        inc_f = sample_increments(finest, master_seed, paths, d,
-                                  step_lo=b0 * factor, step_hi=b1 * factor)
-        inc_pen = _time_major(halve_increments(inc_f, factor))
-        inc_f = inc_pen if factor == 1 else _time_major(inc_f)
-        for k in range(b0, b1):
+    x_ref = (None if ref_steps is None
+             else np.broadcast_to(x0, (num_paths, d)).copy())
+    dk, dy = np.zeros_like(x), x_ref
+    yield x, dk, x_ref, dy
+    k = 0
+    for inc, inc_ref in blocks:
+        if inc.shape[-1] != d:
+            raise ValueError("path and domain dimensions differ")
+        for i in range(inc.shape[0]):
             t = k * h
             if x_ref is not None:
                 for j in range(factor):
-                    x_ref, _ = projected_euler_step(
+                    x_ref, dy_j = projected_euler_step(
                         domain, coeffs, t + j * h_ref, x_ref,
-                        inc_f[(k - b0) * factor + j], h_ref)
+                        inc_ref[i * factor + j], h_ref)
                     if not np.isfinite(x_ref).all():
                         s = k * factor + j + 1
                         pi = _first_bad_row(x_ref)
@@ -359,30 +353,68 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
                             f"path {pi}",
                             step_index=s, path_index=pi,
                         )
-            if want_dist:
-                np.maximum(sup_dist, domain.distance(x), out=sup_dist)
-            x, _ = step(domain, coeffs, t, x, inc_pen[k - b0], h, level)
-            if not np.isfinite(x).all():
-                # Row-major order over (level, path): the first bad row is
-                # the one a level-by-level loop would have hit first.
-                li, pi = divmod(_first_bad_row(x), num_paths)
-                n = levels[li]
-                raise IntegrationError(
-                    f"non-finite state at step {k + 1}, level n = {n:g}, "
-                    f"path {pi}",
-                    step_index=k + 1, path_index=pi, level=n,
-                )
-            if want_err:
-                np.maximum(sup_err, row_norm(x - x_ref), out=sup_err)
-    if want_dist:
-        np.maximum(sup_dist, domain.distance(x), out=sup_dist)
+                    dy = dy_j if j == 0 else dy + dy_j
+            if levels:
+                x, dk = step(domain, coeffs, t, x, inc[i], h, level)
+                if not np.isfinite(x).all():
+                    # Row-major order over (level, path): the first bad row
+                    # is the one a level-by-level loop would have hit first.
+                    li, pi = divmod(_first_bad_row(x), num_paths)
+                    n = levels[li]
+                    raise IntegrationError(
+                        f"non-finite state at step {k + 1}, level n = {n:g}, "
+                        f"path {pi}",
+                        step_index=k + 1, path_index=pi, level=n,
+                    )
+            k += 1
+            yield x, dk, x_ref, dy
 
-    return {
-        "sup_err": sup_err,
-        "sup_dist": sup_dist,
-        "terminal": x,
-        "ref_terminal": x_ref,
-    }
+
+def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
+    """Sampled increment pairs for ``_lockstep``: fine increments for the
+    reference and their ``factor``-step sums for the levels. Blocks hold at
+    most ``_BLOCK_WORDS`` fine words, so memory stays flat however many
+    paths there are, and align with the factor, so the sums match a
+    whole-path generation bitwise. Time-major order, ``(steps, P, d)``,
+    lets every step read one contiguous ``(P, d)`` slab."""
+    m = grid.steps
+    finest = TimeGrid(grid.horizon, ref_steps or m)
+    factor = finest.steps // m
+    block = max(1, _BLOCK_WORDS // max(1, num_paths * d * factor))
+    paths = range(num_paths)
+    for b0 in range(0, m, block):
+        b1 = min(b0 + block, m)
+        inc_f = sample_increments(finest, master_seed, paths, d,
+                                  step_lo=b0 * factor, step_hi=b1 * factor)
+        inc = _time_major(halve_increments(inc_f, factor))
+        # Rebound, so that the generator, suspended at the yield, does not
+        # keep the sampled (P, steps, d) block alive.
+        inc_f = inc if factor == 1 else _time_major(inc_f)
+        yield inc, inc_f
+
+
+def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
+                 scheme, ref_steps, want_err, want_dist):
+    """Integrate all levels (and the reference) along shared paths.
+
+    Feeds ``_lockstep`` with sampled increments and keeps its reductions:
+    per-path sup errors and sup boundary distances, shape ``(L, P)``, as
+    requested, and the terminal states of the levels, ``(L, P, d)``, and of
+    the reference, ``(P, d)``.
+    """
+    blocks = _increment_blocks(grid, ref_steps, master_seed, num_paths,
+                               domain.dim)
+    shape = (len(levels), num_paths)
+    sup_err = np.zeros(shape) if want_err else None
+    sup_dist = np.zeros(shape) if want_dist else None
+    for x, _, x_ref, _ in _lockstep(domain, coeffs, x0, grid, levels,
+                                    num_paths, scheme, ref_steps, blocks):
+        if want_dist:
+            np.maximum(sup_dist, domain.distance(x), out=sup_dist)
+        if want_err:
+            np.maximum(sup_err, row_norm(x - x_ref), out=sup_err)
+    return {"sup_err": sup_err, "sup_dist": sup_dist, "terminal": x,
+            "ref_terminal": x_ref}
 
 
 def _first_bad_row(x):

@@ -8,9 +8,11 @@ grows only while ``X`` sits on the boundary.
 Two constructions are provided. ``skorokhod_map_halfline`` is the exact
 discrete one-sided reflection (running-maximum formula) for a half-line.
 ``projected_euler`` projects every Euler update back onto the domain and
-records the projection displacements as the regulator; on a half-line it
-coincides with the running-maximum construction applied to its own
-realized driver, which is used as a cross-validation oracle.
+records the projection displacements as the regulator; it is a recorded
+one-path run of the step loop ``rates._lockstep``, which steps the sweeps'
+reference too. On a half-line it coincides with the running-maximum
+construction applied to its own realized driver, which is used as a
+cross-validation oracle.
 
 ``verify_skorokhod`` turns the contract into four nonnegative diagnostics
 so that any trajectory claiming to solve the problem can be audited.
@@ -22,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .brownian import TimeGrid
-from .errors import IntegrationError
-from .geometry import ConvexDomain, HalfLine, sample_points
+from .geometry import ConvexDomain, HalfLine, row_norm, sample_points
 from .penalized import _matvec
 from . import tolerances as tol
 
@@ -101,40 +102,25 @@ def projected_euler_step(domain, coeffs, t, x, dw, h):
 def projected_euler(domain, coeffs, path, x0):
     """Reference reflected trajectory: project each Euler update back.
 
-    The regulator collects the projection displacements; the realized
-    driver (initial point plus accumulated unconstrained increments) is
-    stored so the Skorokhod contract can be verified against it.
+    A one-path run of the sweep's step loop with the reference alone. The
+    regulator collects the projection displacements; the realized driver
+    (initial point plus accumulated unconstrained increments) is stored so
+    the Skorokhod contract can be verified against it.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (domain.dim,):
-        raise ValueError(f"x0 must have shape ({domain.dim},)")
-    if not domain.contains(x0, tol.MEMBERSHIP_TOL):
-        raise ValueError("x0 must lie in the domain closure")
-    grid = path.grid
-    m, d = grid.steps, domain.dim
-    h = grid.step
-
-    states = np.empty((m + 1, d))
-    regulator = np.zeros((m + 1, d))
-    variation = np.zeros(m + 1)
-    driver = np.empty((m + 1, d))
-    states[0] = x0
-    driver[0] = x0
-    x = x0
-    for k in range(m):
-        x_next, dy = projected_euler_step(domain, coeffs, k * h, x,
-                                          path.increments[k], h)
-        if not np.all(np.isfinite(x_next)):
-            raise IntegrationError(
-                f"non-finite state at step {k + 1}", step_index=k + 1,
-            )
-        dk = x_next - (x + dy)
-        states[k + 1] = x_next
-        driver[k + 1] = driver[k] + dy
-        regulator[k + 1] = regulator[k] + dk
-        variation[k + 1] = variation[k] + np.linalg.norm(dk)
-        x = x_next
-    return ReflectedTrajectory(grid=grid, domain=domain, states=states,
+    from .rates import _lockstep  # rates imports this module
+    inc = path.increments[:, None]
+    # No levels, so the scheme is never used.
+    run = [(x[0], dy[0]) for _, _, x, dy in _lockstep(
+        domain, coeffs, x0, path.grid, [], 1, "splitting", path.grid.steps,
+        [(inc, inc)])]
+    states, dy = map(np.array, zip(*run))
+    driver = np.cumsum(dy, axis=0)
+    dk = states[1:] - (states[:-1] + dy[1:])
+    regulator = np.cumsum(np.concatenate([np.zeros_like(dk[:1]), dk]), axis=0)
+    # One single-vector norm per step: it goes through BLAS and can differ
+    # from ``row_norm`` in the last bit, and the variation is defined by it.
+    variation = np.cumsum([0.0] + [np.linalg.norm(row) for row in dk])
+    return ReflectedTrajectory(grid=path.grid, domain=domain, states=states,
                                regulator=regulator, variation=variation,
                                driver=driver)
 
@@ -159,10 +145,10 @@ def verify_skorokhod(traj, driver=None, boundary_tol=tol.BOUNDARY_TOL,
         raise ValueError("driver and states have mismatched grids")
 
     containment = float(np.max(domain.distance(x)))
-    decomposition = float(np.max(np.linalg.norm(x - driver - k_proc, axis=-1)))
+    decomposition = float(np.max(row_norm(x - driver - k_proc)))
 
     dk = np.diff(k_proc, axis=0)                      # (M, d)
-    dk_norm = np.linalg.norm(dk, axis=-1)
+    dk_norm = row_norm(dk)
     dvar = np.diff(traj.variation)
     off_boundary = domain.boundary_distance(x[1:]) > boundary_tol
     flatness = float(np.sum(dvar[off_boundary]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracle import penalized_loop
 
 from refsde.brownian import TimeGrid, coarsen, sample_increments, sample_path
 from refsde.coefficients import CoefficientField, make_coefficients
@@ -85,6 +86,42 @@ def test_blowup_reports_step_index():
     with np.errstate(over="ignore"), pytest.raises(IntegrationError) as err:
         euler_penalized(HalfLine(0.0), explode, path, np.array([5.0]), 1.0)
     assert err.value.step_index is not None
+    assert (err.value.level, err.value.path_index) == (1.0, 0)
+    assert "level n = 1, path 0" in str(err.value)
+
+
+def test_euler_penalty_has_no_negative_zero():
+    # Inside the domain the explicit step's penalty increment is -0.0;
+    # accumulated from a zero start, the penalty holds +0.0 there.
+    grid = TimeGrid(1.0, 64)
+    path = sample_path(grid, 3, 0)
+    traj = euler_penalized(HalfLine(0.0), make_coefficients("ou1d"), path,
+                           np.array([2.0]), 8.0)
+    zeros = traj.penalty == 0.0
+    assert zeros[0, 0] and zeros.sum() > 1
+    assert not np.any(np.signbit(traj.penalty[zeros]))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "splitting"])
+@pytest.mark.parametrize("domain, name, x0", [
+    (HalfLine(0.0), "ou1d", [0.0]),
+    (quadrant(), "quadrant2d", [0.5, 0.0]),
+    (Ball(center=[0.0, 0.0], radius=1.0), "quadrant2d", [0.0, 0.0]),
+])
+def test_per_path_functions_match_a_plain_loop_bitwise(scheme, domain, name,
+                                                       x0):
+    coeffs = make_coefficients(name)
+    path = sample_path(TimeGrid.from_log2(1.0, 8), 17, 2, dim=domain.dim)
+    run = euler_penalized if scheme == "euler" else splitting_penalized
+    for level in (4.0, 256.0):
+        traj = run(domain, coeffs, path, np.array(x0), level)
+        states, penalty, max_dist = penalized_loop(domain, coeffs, path, x0,
+                                                   level, scheme)
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.penalty.tobytes() == penalty.tobytes()
+        assert traj.max_dist == max_dist
+        assert (traj.scheme, traj.level, traj.grid) == (scheme, level,
+                                                        path.grid)
 
 
 # -- exponential relaxation ----------------------------------------------------

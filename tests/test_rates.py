@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracle import penalized_loop, reference_loop
 
 from refsde.brownian import TimeGrid, coarsen, sample_path
 from refsde.coefficients import CoefficientField, make_coefficients
@@ -197,6 +198,10 @@ def test_brownian_modulus_slope_smoke():
 
 # -- sweeps -----------------------------------------------------------------------
 
+# The per-path oracle for the sweep is a plain loop over single points
+# (``tests/oracle.py``), not the per-path integrators, which run through the
+# sweep's own step loop.
+
 def test_sweep_matches_per_path_api_bitwise():
     domain = HalfLine(0.0)
     coeffs = make_coefficients("ou1d")
@@ -207,13 +212,14 @@ def test_sweep_matches_per_path_api_bitwise():
                        ref_steps=grid.steps, want_err=True, want_dist=True)
     for pi in range(6):
         path = sample_path(grid, 42, pi)
-        ref = projected_euler(domain, coeffs, path, x0)
+        ref = reference_loop(domain, coeffs, path, x0)[0]
         for li, n in enumerate(levels):
-            traj = splitting_penalized(domain, coeffs, path, x0, n)
-            sup = np.max(np.linalg.norm(traj.states - ref.states, axis=-1))
+            states, _, max_dist = penalized_loop(domain, coeffs, path, x0, n)
+            sup = np.max(np.linalg.norm(states - ref, axis=-1))
             assert res["sup_err"][li, pi] == sup
-            assert res["sup_dist"][li, pi] == traj.max_dist
-            assert np.array_equal(res["terminal"][li, pi], traj.states[-1])
+            assert res["sup_dist"][li, pi] == max_dist
+            assert np.array_equal(res["terminal"][li, pi], states[-1])
+        assert np.array_equal(res["ref_terminal"][pi], ref[-1])
 
 
 def test_sweep_matches_per_path_api_polyhedron():
@@ -226,11 +232,11 @@ def test_sweep_matches_per_path_api_polyhedron():
                        ref_steps=grid.steps, want_err=True, want_dist=True)
     for pi in range(4):
         path = sample_path(grid, 9, pi, dim=2)
-        ref = projected_euler(domain, coeffs, path, x0)
-        traj = splitting_penalized(domain, coeffs, path, x0, 64.0)
-        sup = np.max(np.linalg.norm(traj.states - ref.states, axis=-1))
+        ref = reference_loop(domain, coeffs, path, x0)[0]
+        states, _, max_dist = penalized_loop(domain, coeffs, path, x0, 64.0)
+        sup = np.max(np.linalg.norm(states - ref, axis=-1))
         assert res["sup_err"][0, pi] == sup
-        assert res["sup_dist"][0, pi] == traj.max_dist
+        assert res["sup_dist"][0, pi] == max_dist
 
 
 def test_sweep_refined_reference_matches_per_path_api_bitwise():
@@ -247,14 +253,12 @@ def test_sweep_refined_reference_matches_per_path_api_bitwise():
                        ref_steps=fine.steps, want_err=True, want_dist=False)
     for pi in range(5):
         path = sample_path(fine, 31, pi)
-        ref = projected_euler(domain, coeffs, path, x0)
-        np.testing.assert_array_equal(res["ref_terminal"][pi],
-                                      ref.states[-1])
+        ref = reference_loop(domain, coeffs, path, x0)[0]
+        np.testing.assert_array_equal(res["ref_terminal"][pi], ref[-1])
         for li, n in enumerate(levels):
-            traj = splitting_penalized(domain, coeffs, coarsen(path, period),
-                                       x0, n)
-            sup = np.max(np.linalg.norm(
-                traj.states - ref.states[::period], axis=-1))
+            states = penalized_loop(domain, coeffs, coarsen(path, period),
+                                    x0, n)[0]
+            sup = np.max(np.linalg.norm(states - ref[::period], axis=-1))
             assert res["sup_err"][li, pi] == sup
 
 
@@ -303,7 +307,7 @@ def test_sweep_non_finite_guard_names_first_bad_row():
     # The drift explodes on states exactly at 0. Only the deep level, whose
     # relaxation factor exp(-n h) underflows to 0, lands there (one step
     # after its path leaves the half-line), so the first bad row is found
-    # in the second level. The per-path API is the oracle for its position.
+    # in the second level. The per-point loop is the oracle for its position.
     domain = HalfLine(0.0)
     coeffs = CoefficientField(
         name="explode-at-zero", dim=1,
@@ -317,11 +321,11 @@ def test_sweep_non_finite_guard_names_first_bad_row():
     with np.errstate(invalid="ignore"):
         for li, n in enumerate(levels):
             for pi in range(num_paths):
-                try:
-                    splitting_penalized(domain, coeffs,
-                                        sample_path(grid, 5, pi), x0, n)
-                except IntegrationError as exc:
-                    first.append((exc.step_index, li, pi))
+                states = penalized_loop(domain, coeffs,
+                                        sample_path(grid, 5, pi), x0, n)[0]
+                bad = ~np.isfinite(states).all(axis=-1)
+                if bad.any():
+                    first.append((int(np.argmax(bad)), li, pi))
         step, li, pi = min(first)
         assert li == 1 and pi > 0
         with pytest.raises(IntegrationError) as err:
@@ -382,11 +386,11 @@ def test_halfline_map_reference_matches_projected_euler():
                        want_dist=False)
     for pi in range(12):
         path = sample_path(grid, 11, pi)
-        driver = projected_euler(domain, coeffs, path, x0).driver[:, 0]
+        driver = reference_loop(domain, coeffs, path, x0)[3][:, 0]
         mapped = skorokhod_map_halfline(driver, 0.0, grid).states
         for li, n in enumerate(levels):
-            traj = splitting_penalized(domain, coeffs, path, x0, n)
-            sup = np.max(np.abs(traj.states - mapped))
+            states = penalized_loop(domain, coeffs, path, x0, n)[0]
+            sup = np.max(np.abs(states - mapped))
             assert abs(res["sup_err"][li, pi] - sup) <= 1e-12
     # Deeper penalization tracks the reflected reference more closely.
     tables = strong_error_sweep(domain, coeffs, x0, grid, levels, 60, 11)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from oracle import reference_loop
 
 from refsde.brownian import TimeGrid, sample_path
 from refsde.coefficients import CoefficientField, make_coefficients
 from refsde.geometry import Ball, HalfLine, Polyhedron
+from refsde.penalized import euler_penalized, splitting_penalized
 from refsde.reflected import (
     ReflectedTrajectory,
     projected_euler,
@@ -93,6 +95,43 @@ def test_projected_euler_quiescent():
     traj = projected_euler(dom, zero_field(2), path, np.array([0.2, 0.2]))
     assert np.all(traj.states == 0.2)
     assert np.all(traj.regulator == 0.0)
+
+
+@pytest.mark.parametrize("domain, name, x0", [
+    (HalfLine(0.0), "ou1d", [0.0]),
+    (Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]], offsets=[0.0, 0.0]),
+     "quadrant2d", [0.0, 0.0]),
+    (Ball(center=[0.0, 0.0], radius=1.0), "quadrant2d", [0.5, 0.0]),
+])
+def test_projected_euler_matches_a_plain_loop_bitwise(domain, name, x0):
+    coeffs = make_coefficients(name)
+    # On the ball, the variation's single-vector norms differ from
+    # ``row_norm`` in the last bit on a few of these steps.
+    path = sample_path(TimeGrid.from_log2(1.0, 10), 3, 1, dim=domain.dim)
+    traj = projected_euler(domain, coeffs, path, np.array(x0))
+    want = reference_loop(domain, coeffs, path, x0)
+    got = (traj.states, traj.regulator, traj.variation, traj.driver)
+    for field, expected in zip(got, want):
+        assert field.shape == expected.shape
+        assert field.tobytes() == expected.tobytes()
+    assert traj.grid == path.grid and traj.domain is domain
+
+
+def test_per_path_functions_reject_dimension_mismatches():
+    # A 1-d path, or a 1-d coefficient field, on the 2-d quadrant.
+    quad = Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]], offsets=[0.0, 0.0])
+    grid = TimeGrid(1.0, 64)
+    x0 = np.array([0.0, 0.0])
+    cases = [(make_coefficients("quadrant2d"), sample_path(grid, 3, 0),
+              "path and domain"),
+             (make_coefficients("ou1d"), sample_path(grid, 3, 0, dim=2),
+              "coefficient and domain")]
+    for coeffs, path, message in cases:
+        for run in (lambda: euler_penalized(quad, coeffs, path, x0, 16.0),
+                    lambda: splitting_penalized(quad, coeffs, path, x0, 16.0),
+                    lambda: projected_euler(quad, coeffs, path, x0)):
+            with pytest.raises(ValueError, match=message):
+                run()
 
 
 def test_projected_euler_matches_halfline_map():
