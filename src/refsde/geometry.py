@@ -1,21 +1,23 @@
 """Convex domains with metric projection, distance and inward normals.
 
-Four domain shapes are supported: a one-dimensional half-line, an
-axis-aligned box (infinite bounds allowed), a polyhedron given as an
-intersection of halfspaces with unit outward normals, and a euclidean ball.
+Two projections cover every domain: a polyhedron, the intersection of
+halfspaces with unit outward normals, and a euclidean ball. The
+one-dimensional half-line and the axis-aligned box (infinite bounds
+allowed) are polyhedra whose faces are their finite bounds.
 
 All operations accept a single point of shape ``(d,)`` or a batch of shape
 ``(..., d)`` and return results with matching leading axes. Domain objects
 are immutable after construction and safe to share across workers; every
 operation is pure.
 
-Every projection is exact. The half-line, box and ball have closed forms.
-A polyhedron first splits off its *coordinate faces* (normal ``+e_j`` or
-``-e_j``) on *free* coordinates, those that only coordinate faces touch:
-they are scalar bounds, and the polyhedron is the product of those intervals
-with the polyhedron of the remaining faces, which live in the orthogonal
+Every projection is exact. The ball has a closed form. A polyhedron first
+splits off its *coordinate faces* (normal ``+e_j`` or ``-e_j``) on *free*
+coordinates, those that only coordinate faces touch: they are scalar
+bounds, and the polyhedron is the product of those intervals with the
+polyhedron of the remaining faces, which live in the orthogonal
 coordinates. So its projection clips each free coordinate to its bounds
-and projects the rest onto the remaining faces. For these it precomputes,
+and projects the rest onto the remaining faces; a half-line, a box or an
+orthant has no remaining faces. For these it precomputes,
 for each linearly independent set of at most ``d`` faces, the inverse Gram
 matrix of its normals, and picks among these candidate active sets the KKT
 point of the projection problem: no iteration and no stopping rule. Points
@@ -54,7 +56,7 @@ class NormalDirection:
         a = np.asarray(self.anchor, dtype=float)
         if v.shape != a.shape or v.ndim != 1:
             raise ValueError("normal vector and anchor must be 1-d of equal length")
-        if abs(np.linalg.norm(v) - 1.0) > tol.UNIT_VECTOR_TOL:
+        if abs(row_norm(v) - 1.0) > tol.UNIT_VECTOR_TOL:
             raise ValueError("normal vector must have unit length")
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "anchor", a)
@@ -73,7 +75,7 @@ class ConvexDomain:
 
     def distance(self, x):
         """Euclidean distance ``|x - project(x)|`` to the domain closure."""
-        x = self._check_point(x)
+        x = np.asarray(x, dtype=float)  # project checks the dimension
         return row_norm(x - self.project(x))
 
     def contains(self, x, tolerance=0.0):
@@ -96,7 +98,7 @@ class ConvexDomain:
             raise ValueError("normal_at expects a single point")
         x = self._check_point(x)
         p = self.project(x)
-        gap = np.linalg.norm(x - p)
+        gap = row_norm(x - p)
         if gap <= tol.NORMAL_MIN_DIST:
             raise ValueError(
                 "point is inside or too close to the domain; inward normal undefined"
@@ -129,74 +131,6 @@ class ConvexDomain:
 
 
 @dataclass(frozen=True)
-class HalfLine(ConvexDomain):
-    """The interval [lower, infinity) in R^1."""
-
-    lower: float = 0.0
-    dim: int = field(default=1, init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "lower", float(self.lower))
-        if not np.isfinite(self.lower):
-            raise ValueError("half-line lower bound must be finite")
-
-    def project(self, x):
-        x = self._check_point(x)
-        return np.maximum(x, self.lower)
-
-    def boundary_distance(self, x):
-        x = self._check_point(x)
-        return np.abs(x[..., 0] - self.lower)
-
-    def interior_point(self):
-        return np.array([self.lower + 1.0])
-
-
-@dataclass(frozen=True)
-class Box(ConvexDomain):
-    """Axis-aligned box; individual bounds may be -inf or +inf."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        up = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != up.shape or lo.ndim != 1:
-            raise ValueError("box bounds must be 1-d arrays of equal length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(up)):
-            raise ValueError("box bounds must not be NaN")
-        if not np.all(lo < up):
-            raise ValueError("box requires lower_i < upper_i on every axis")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "_clips", _clips(lo, up))
-
-    @property
-    def dim(self):
-        return self.lower.shape[0]
-
-    def project(self, x):
-        x = self._check_point(x)
-        return _clip_columns(x, self._clips)
-
-    def boundary_distance(self, x):
-        x = self._check_point(x)
-        margin = np.minimum(x - self.lower, self.upper - x)  # -inf faces give +inf
-        inner = np.min(margin, axis=-1)
-        return np.where(inner >= 0.0, inner, self.distance(x))
-
-    def interior_point(self):
-        lo, up = self.lower, self.upper
-        mid = np.where(
-            np.isfinite(lo) & np.isfinite(up),
-            0.5 * (lo + up),
-            np.where(np.isfinite(lo), lo + 1.0, np.where(np.isfinite(up), up - 1.0, 0.0)),
-        )
-        return mid
-
-
-@dataclass(frozen=True)
 class Polyhedron(ConvexDomain):
     """Intersection of halfspaces ``<a_i, x> <= c_i`` with unit normals a_i.
 
@@ -209,7 +143,7 @@ class Polyhedron(ConvexDomain):
     ``MAX_ACTIVE_SETS``; see ``_project``) and checks that the feasible set
     has nonempty interior by projecting the origin onto the polyhedron
     shrunk by a geometric sweep of margins. Domains failing any check are
-    rejected with ``ValueError``.
+    rejected with ``ValueError``. Without faces, the polyhedron is R^d.
     """
 
     normals: np.ndarray
@@ -218,10 +152,9 @@ class Polyhedron(ConvexDomain):
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.normals, dtype=float))
         c = np.atleast_1d(np.asarray(self.offsets, dtype=float))
-        if a.ndim != 2 or c.ndim != 1 or a.shape[0] != c.shape[0]:
-            raise ValueError("normals must be (m, d) and offsets (m,)")
-        if a.shape[0] == 0:
-            raise ValueError("polyhedron needs at least one halfspace")
+        if (a.ndim != 2 or c.ndim != 1 or a.shape[0] != c.shape[0]
+                or a.shape[1] == 0):
+            raise ValueError("normals must be (m, d >= 1), offsets (m,)")
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(c)):
             raise ValueError("polyhedron data must be finite")
         norms = row_norm(a)
@@ -229,19 +162,17 @@ class Polyhedron(ConvexDomain):
             raise ValueError("polyhedron normals must be unit vectors")
         object.__setattr__(self, "normals", a)
         object.__setattr__(self, "offsets", c)
+        object.__setattr__(self, "dim", a.shape[1])
         lower, upper, rest, coupled = _split_faces(a, c)
         object.__setattr__(self, "_lower", lower)
         object.__setattr__(self, "_upper", upper)
         object.__setattr__(self, "_clips", _clips(lower, upper))
+        object.__setattr__(self, "_rest", rest)
         object.__setattr__(self, "_faces", a[rest].tolist())
         object.__setattr__(self, "_bounds", c[rest].tolist())
         object.__setattr__(self, "_active_sets",
                            _active_sets(a[rest], coupled))
         object.__setattr__(self, "_anchor", self._find_interior_point())
-
-    @property
-    def dim(self):
-        return self.normals.shape[1]
 
     def slack(self, x):
         """Per-constraint margins ``c_i - <a_i, x>``, shape ``(..., m)``."""
@@ -254,11 +185,13 @@ class Polyhedron(ConvexDomain):
         # Feasible points are returned unchanged (possibly the input array
         # itself).
         x = self._check_point(x)
+        if not self._faces:
+            return _clip_columns(x, self._clips)
         return _project(x, self._clips, self._faces, self._bounds,
                         self._active_sets)
 
     def boundary_distance(self, x):
-        margin = np.min(self.slack(x), axis=-1)
+        margin = np.min(self.slack(x), axis=-1, initial=np.inf)
         return np.where(margin >= 0.0, margin, self.distance(x))
 
     def interior_point(self):
@@ -268,25 +201,77 @@ class Polyhedron(ConvexDomain):
         """Find a strictly interior point or reject the polyhedron.
 
         Sweeps a geometric sequence of margins eps and projects the origin
-        onto the shrunk constraints ``<a_i, x> <= c_i - eps`` (bounds of
-        free coordinates move inward by eps too); the first
-        result whose every slack exceeds ``eps / 2`` certifies nonempty
-        interior. A shrunk set that is empty yields no such point, so the
-        sweep goes on to the next margin.
+        onto the shrunk constraints ``<a_i, x> <= c_i - eps``, with the
+        bounds of free coordinates moved inward by eps or to their
+        midpoint, whichever is nearer; the first result whose every slack
+        is positive, and exceeds ``eps / 2`` on the remaining faces,
+        certifies nonempty interior. A shrunk set that is empty yields no
+        such point, so the sweep goes on to the next margin.
         """
-        scale = max(1.0, float(np.max(np.abs(self.offsets))))
+        scale = max(1.0, float(np.max(np.abs(self.offsets), initial=0.0)))
         origin = np.zeros(self.dim)
+        half = 0.5 * self._upper - 0.5 * self._lower
         eps = 0.5 * scale
         while eps >= tol.INTERIOR_MARGIN_FLOOR * scale:
-            x = _project(origin, _clips(self._lower + eps, self._upper - eps),
+            shrink = np.minimum(eps, half)
+            x = _project(origin,
+                         _clips(self._lower + shrink, self._upper - shrink),
                          self._faces, [c - eps for c in self._bounds],
                          self._active_sets)
-            if np.all(self.slack(x) > 0.5 * eps):
+            if np.all(self.slack(x) > np.where(self._rest, 0.5 * eps, 0.0)):
                 return x
             eps *= 0.5
         raise ValueError(
             "polyhedron has empty interior: no strictly feasible point found"
         )
+
+
+@dataclass(frozen=True)
+class HalfLine(Polyhedron):
+    """The interval [lower, infinity) in R^1: the face ``-x <= -lower``."""
+
+    normals: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    lower: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "lower", float(self.lower))
+        if not np.isfinite(self.lower):
+            raise ValueError("half-line lower bound must be finite")
+        object.__setattr__(self, "normals", np.array([[-1.0]]))
+        object.__setattr__(self, "offsets", np.array([0.0 - self.lower]))
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
+class Box(Polyhedron):
+    """Axis-aligned box; individual bounds may be -inf or +inf.
+
+    Its faces are ``-x_j <= -lower_j`` and ``x_j <= upper_j`` for the
+    finite bounds.
+    """
+
+    normals: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
+        up = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        if lo.shape != up.shape or lo.ndim != 1:
+            raise ValueError("box bounds must be 1-d arrays of equal length")
+        if not np.all(lo < up):
+            raise ValueError("box requires lower_i < upper_i on every axis")
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", up)
+        eye = np.eye(lo.shape[0])
+        below, above = np.isfinite(lo), np.isfinite(up)
+        object.__setattr__(self, "normals",
+                           np.vstack([-eye[below], eye[above]]))
+        object.__setattr__(self, "offsets",
+                           np.concatenate([0.0 - lo[below], up[above] + 0.0]))
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -389,16 +374,30 @@ def _clips(lower, upper):
 
 
 def _clip_columns(x, clips):
-    """``x`` with each column j of ``clips`` clipped to its scalar bounds,
-    or ``x`` itself if there are none. Scalar bounds keep a value inside them
-    bit for bit, ``-0.0`` included, whatever the batch; array bounds can
-    return a ``-0.0`` on a zero bound as either sign."""
+    """``x`` with each column j of ``clips`` clipped to its scalar bounds (a
+    single column as a whole), or ``x`` itself if there are none. Scalar
+    bounds keep a value inside them bit for bit, ``-0.0`` included, whatever
+    the batch; array bounds can return a zero bound's ``-0.0`` as ``+0.0``."""
     if not clips:
         return x
+    if x.shape[-1] == 1:
+        _, lo, hi = clips[0]
+        return _clip(x, lo, hi)
     out = np.empty_like(x) if len(clips) == x.shape[-1] else x.copy()
     for j, lo, hi in clips:
-        np.clip(x[..., j], lo, hi, out=out[..., j])
+        out[..., j] = _clip(x[..., j], lo, hi)
     return out
+
+
+def _clip(col, lo, hi):
+    """``clip(col, lo, hi)``. A one-sided bound goes through ``maximum`` or
+    ``minimum`` with the bound first, which gives ``clip``'s bits (a tie
+    keeps the column's ``-0.0``) without its Python wrapper."""
+    if hi == math.inf:
+        return np.maximum(lo, col)
+    if lo == -math.inf:
+        return np.minimum(hi, col)
+    return np.clip(col, lo, hi)
 
 
 def _active_sets(normals, coupled):

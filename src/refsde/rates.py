@@ -18,6 +18,7 @@ scale are available because the two are empirically hard to distinguish at
 desk scale.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -123,10 +124,17 @@ def fit_rate(table, regressor="ln_n_over_n", band=None):
         raise RateFitError(
             f"rate fit needs strictly positive errors; the error is 0 at "
             f"n = {zero}")
-    r = np.log(REGRESSORS[regressor](table.levels))
-    e = np.log(errors)
-    slope, intercept = np.polyfit(r, e, 1)
-    resid = e - (slope * r + intercept)
+    r = np.log(REGRESSORS[regressor](table.levels)).tolist()
+    e = np.log(errors).tolist()
+    # Closed-form least squares on centred regressors, with exactly rounded
+    # sums: no LAPACK, so the bits do not depend on the BLAS kernels.
+    count = len(r)
+    r_mean, e_mean = math.fsum(r) / count, math.fsum(e) / count
+    dr = [v - r_mean for v in r]
+    slope = (math.fsum(a * (b - e_mean) for a, b in zip(dr, e))
+             / math.fsum(a * a for a in dr))
+    intercept = e_mean - slope * r_mean
+    resid = [b - (slope * a + intercept) for a, b in zip(r, e)]
     report_band = None if band is None else tuple(band)
     passed = None
     if report_band is not None:
@@ -134,9 +142,8 @@ def fit_rate(table, regressor="ln_n_over_n", band=None):
         passed = bool((lo is None or slope >= lo)
                       and (hi is None or slope <= hi))
     return RateReport(
-        table=table, regressor=regressor, slope=float(slope),
-        intercept=float(intercept),
-        residual_rms=float(np.sqrt(np.mean(resid ** 2))),
+        table=table, regressor=regressor, slope=slope, intercept=intercept,
+        residual_rms=math.sqrt(math.fsum(v * v for v in resid) / count),
         band=report_band, passed=passed,
     )
 
@@ -251,12 +258,7 @@ def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
         ranges = _window_ranges(w_vals, [windows[i] for i in order])
         for pos, i in enumerate(order):
             sups[i, lo:hi] = ranges[pos]
-    rows = []
-    for i, n in enumerate(levels):
-        err, se = _pooled_norm(sups[i], p)
-        rows.append(ErrorRow(level=n, num_paths=num_paths, h_fine=grid.step,
-                             error=err, stderr=se, p=p))
-    return ErrorTable(rows=tuple(rows))
+    return _tables(levels, sups, num_paths, grid.step, [p])[p]
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +502,7 @@ def weak_compare(domain, coeffs, levels, grid, num_paths, functional, x0,
     rows = []
     for i, n in enumerate(levels):
         if functional == "mean":
-            value = float(np.linalg.norm(
+            value = float(row_norm(
                 terminal[i].mean(axis=0) - ref_terminal.mean(axis=0)))
         elif functional == "second_moment":
             value = float(abs(np.mean(np.sum(terminal[i] ** 2, axis=-1))

@@ -117,9 +117,7 @@ def projected_euler(domain, coeffs, path, x0):
     driver = np.cumsum(dy, axis=0)
     dk = states[1:] - (states[:-1] + dy[1:])
     regulator = np.cumsum(np.concatenate([np.zeros_like(dk[:1]), dk]), axis=0)
-    # One single-vector norm per step: it goes through BLAS and can differ
-    # from ``row_norm`` in the last bit, and the variation is defined by it.
-    variation = np.cumsum([0.0] + [np.linalg.norm(row) for row in dk])
+    variation = np.cumsum(np.concatenate([[0.0], row_norm(dk)]))
     return ReflectedTrajectory(grid=path.grid, domain=domain, states=states,
                                regulator=regulator, variation=variation,
                                driver=driver)

@@ -9,6 +9,7 @@ guard against non-finite states.
 
 import numpy as np
 
+from refsde.geometry import row_norm
 from refsde.penalized import euler_step, splitting_step
 from refsde.reflected import projected_euler_step
 
@@ -41,7 +42,7 @@ def reference_loop(domain, coeffs, path, x0):
         states.append(x_next)
         driver.append(driver[-1] + dy)
         regulator.append(regulator[-1] + dk)
-        variation.append(variation[-1] + np.linalg.norm(dk))
+        variation.append(variation[-1] + row_norm(dk))
         x = x_next
     return (np.array(states), np.array(regulator), np.array(variation),
             np.array(driver))

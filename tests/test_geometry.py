@@ -146,6 +146,107 @@ def test_coordinate_faces_on_coupled_coordinates_stay_faces():
     assert triangle._clips == [] and len(triangle._faces) == 3
 
 
+# A half-line or a box, and the polyhedron of the faces it is made of.
+WRITTEN_OUT = [
+    (HalfLine(0.0), Polyhedron(normals=[[-1.0]], offsets=[0.0])),
+    (HalfLine(-0.75), Polyhedron(normals=[[-1.0]], offsets=[0.75])),
+    (Box(lower=[0.0], upper=[2.0]),
+     Polyhedron(normals=[[-1.0], [1.0]], offsets=[0.0, 2.0])),
+    (Box(lower=[0.0, -1.0, -np.inf], upper=[2.0, 0.0, 0.0]),
+     Polyhedron(normals=[[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                         [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                offsets=[0.0, 1.0, 2.0, 0.0, 0.0])),
+]
+
+
+def test_halfline_and_box_are_polyhedra_of_their_bounds():
+    for cls in (HalfLine, Box):
+        assert issubclass(cls, Polyhedron)
+        for name in ("project", "boundary_distance", "interior_point"):
+            assert name not in vars(cls), (cls, name)
+    rng = np.random.default_rng(17)
+    for dom, poly in WRITTEN_OUT:
+        np.testing.assert_array_equal(dom.normals, poly.normals)
+        np.testing.assert_array_equal(dom.offsets, poly.offsets)
+        x = 2.0 * rng.standard_normal((7, 60, dom.dim))
+        flat = x.reshape(-1, dom.dim)
+        flat[::5] = dom.project(flat[::5] * 4.0)  # rows on the bounds
+        flat[rng.random(flat.shape) < 0.2] = -0.0
+        flat[rng.random(flat.shape) < 0.2] = 0.0
+        for op in ("project", "distance", "boundary_distance"):
+            got = getattr(dom, op)(x)
+            assert got.tobytes() == getattr(poly, op)(x).tobytes(), op
+            assert getattr(dom, op)(flat[3]).tobytes() == got.reshape(
+                len(flat), -1)[3].tobytes(), op
+
+
+def test_halfline_keeps_a_negative_zero_on_its_bound():
+    got = HalfLine(0.0).project(np.array([-0.0]))
+    assert got.tobytes() == np.array([-0.0]).tobytes()
+    x = np.array([[-0.0], [0.0], [-1.0], [0.5]])
+    assert HalfLine(0.0).project(x).tobytes() == np.array(
+        [[-0.0], [0.0], [0.0], [0.5]]).tobytes()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: HalfLine(np.nan), "finite"),
+    (lambda: HalfLine(np.inf), "finite"),
+    (lambda: HalfLine(-np.inf), "finite"),
+    (lambda: Box(lower=[np.nan], upper=[1.0]), "lower_i < upper_i"),
+    (lambda: Box(lower=[0.0], upper=[np.nan]), "lower_i < upper_i"),
+    (lambda: Box(lower=[1.0, 0.0], upper=[0.0, 1.0]), "lower_i < upper_i"),
+    (lambda: Box(lower=[1.0], upper=[1.0]), "lower_i < upper_i"),
+    (lambda: Box(lower=[np.inf], upper=[np.inf]), "lower_i < upper_i"),
+    (lambda: Box(lower=[-np.inf], upper=[-np.inf]), "lower_i < upper_i"),
+    (lambda: Box(lower=[0.0, 1.0], upper=[1.0]), "1-d arrays"),
+    (lambda: Box(lower=[[0.0]], upper=[[1.0]]), "1-d arrays"),
+    (lambda: Box(lower=[], upper=[]), "d >= 1"),
+    # One ulp wide: no float lies strictly inside.
+    (lambda: Box(lower=[1.0], upper=[1.0 + 2.0 ** -52]), "empty interior"),
+], ids=["halfline-nan", "halfline-inf", "halfline-minus-inf", "box-nan-lower",
+        "box-nan-upper", "box-inverted", "box-flat", "box-plus-inf",
+        "box-minus-inf", "box-lengths", "box-2d-bounds", "box-no-axes",
+        "box-one-ulp"])
+def test_halfline_and_box_reject_bad_bounds(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([-np.inf], [np.inf]),                   # R^1: no faces at all
+    ([-np.inf, -np.inf], [np.inf, np.inf]),  # R^2
+    ([-np.inf, 0.0], [np.inf, np.inf]),
+    ([0.0, -np.inf], [1.0, 3.0]),
+    ([0.0], [1e-9]),                         # thin
+    ([1.0], [1.0 + 2.0 ** -51]),             # two ulps wide
+    ([1e9], [1e9 + 1.0]),                    # far from the origin
+    ([-1e308], [1e308]),
+    ([1.7e308], [np.inf]),                   # lower + eps overflows
+], ids=["R1", "R2", "upper-half-plane", "slab", "thin", "two-ulps", "far",
+        "huge", "near-max"])
+def test_box_accepts_every_nonempty_box(lower, upper):
+    dom = Box(lower=lower, upper=upper)
+    assert dom.dim == len(lower)
+    anchor = dom.interior_point()
+    assert np.all((anchor > dom.lower) & (anchor < dom.upper))
+    x = np.array([lower, upper]) * 0.5 + 3.0
+    assert dom.project(x).tobytes() == np.clip(x, lower, upper).tobytes()
+
+
+def test_polyhedron_without_faces_is_the_whole_space():
+    dom = Polyhedron(normals=np.empty((0, 2)), offsets=np.empty(0))
+    x = np.array([[-1e300, 0.0], [3.0, -0.0]])
+    assert dom.project(x) is x
+    np.testing.assert_array_equal(dom.boundary_distance(x), [np.inf, np.inf])
+    np.testing.assert_array_equal(dom.interior_point(), [0.0, 0.0])
+
+
+def test_halfline_anchor_is_the_first_certified_margin():
+    # Half the scale max(1, |lower|) inside the bound.
+    np.testing.assert_array_equal(HalfLine(0.0).interior_point(), [0.5])
+    np.testing.assert_array_equal(HalfLine(3.0).interior_point(), [4.5])
+
+
 def test_interior_point_is_strictly_inside():
     for dom in all_domains():
         anchor = dom.interior_point()

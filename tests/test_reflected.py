@@ -105,8 +105,9 @@ def test_projected_euler_quiescent():
 ])
 def test_projected_euler_matches_a_plain_loop_bitwise(domain, name, x0):
     coeffs = make_coefficients(name)
-    # On the ball, the variation's single-vector norms differ from
-    # ``row_norm`` in the last bit on a few of these steps.
+    # On the ball, BLAS's single-vector norm differs from ``row_norm`` in
+    # the last bit on a few of these steps, so the oracle pins which one
+    # the variation uses.
     path = sample_path(TimeGrid.from_log2(1.0, 10), 3, 1, dim=domain.dim)
     traj = projected_euler(domain, coeffs, path, np.array(x0))
     want = reference_loop(domain, coeffs, path, x0)

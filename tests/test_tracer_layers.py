@@ -23,6 +23,7 @@ LAYERS = (
 )
 
 # Run in a child, because installing the tracer rebinds module attributes.
+# The span list is emptied after each run, so each gets its own totals.
 CHILD = """
 import json, sys
 import numpy as np
@@ -30,13 +31,27 @@ from tracer import Tracer, layer_stats
 tracer = Tracer()
 tracer.install()
 import refsde.cli
-codes = [refsde.cli.main([kind, "--config", cfg, "--out", out])
-         for kind, cfg, out in json.loads(sys.argv[1])]
-spans = np.array(tracer.spans, dtype=float).reshape(-1, 7)
-stats = layer_stats(spans, tracer.layers)
-calls = {name: s.calls for name, s in stats.items()}
-print(json.dumps({"codes": codes, "absent": tracer.absent, "calls": calls}))
+runs = {}
+for kind, cfg, out in json.loads(sys.argv[1]):
+    code = refsde.cli.main([kind, "--config", cfg, "--out", out])
+    spans = np.array(tracer.spans, dtype=float).reshape(-1, 7)
+    del tracer.spans[:]
+    stats = layer_stats(spans, tracer.layers)
+    runs[kind] = {"code": code,
+                  "calls": {name: s.calls for name, s in stats.items()},
+                  "rows": {name: s.rows for name, s in stats.items()}}
+print(json.dumps({"absent": tracer.absent, "runs": runs}))
 """
+
+# ``geometry.project`` calls and rows of each run. ``HalfLine`` and ``Box``
+# inherit ``project`` from ``Polyhedron``, and the tracer wraps theirs
+# before ``Polyhedron.project``, so each call counts once; a call counted
+# twice, or not at all, changes these.
+PROJECT_COUNTS = {
+    "dist-rate": (131, 10_322),
+    "strong-rate": (50, 578),
+    "weak-compare": (34, 482),
+}
 
 
 def test_tracer_sees_every_layer(tmp_path):
@@ -45,6 +60,10 @@ def test_tracer_sees_every_layer(tmp_path):
               "num_paths": 6, "n_list": [16, 32, 64, 128],
               "scheme": "splitting"}
     configs = {
+        "dist-rate": dict(
+            common, kind="dist-rate", p_list=[2], log2_fine_steps=6,
+            num_paths=20, domain={"type": "halfline", "lower": 0.0},
+            coefficients={"name": "ou1d"}, x0=[0.0]),
         "strong-rate": dict(
             common, kind="strong-rate", p_list=[2],
             domain={"type": "polyhedron", "normals": [[-1.0, 0.0],
@@ -67,7 +86,13 @@ def test_tracer_sees_every_layer(tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=300, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0]
     assert result["absent"] == []
+    runs = result["runs"]
+    assert [run["code"] for run in runs.values()] == [0, 0, 0]
     for layer in LAYERS:
-        assert result["calls"].get(layer, 0) > 0, layer
+        assert any(run["calls"].get(layer, 0) > 0
+                   for run in runs.values()), layer
+    for kind, run in runs.items():
+        got = (run["calls"]["geometry.project"],
+               run["rows"]["geometry.project"])
+        assert got == PROJECT_COUNTS[kind], kind
