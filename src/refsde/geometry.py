@@ -211,15 +211,22 @@ class Polyhedron(ConvexDomain):
         scale = max(1.0, float(np.max(np.abs(self.offsets), initial=0.0)))
         origin = np.zeros(self.dim)
         half = 0.5 * self._upper - 0.5 * self._lower
+        top = np.finfo(float).max
         eps = 0.5 * scale
         while eps >= tol.INTERIOR_MARGIN_FLOOR * scale:
             shrink = np.minimum(eps, half)
-            x = _project(origin,
-                         _clips(self._lower + shrink, self._upper - shrink),
-                         self._faces, [c - eps for c in self._bounds],
-                         self._active_sets)
-            if np.all(self.slack(x) > np.where(self._rest, 0.5 * eps, 0.0)):
-                return x
+            # A bound that would move past the largest float has an empty
+            # shrunk interval; the margin is skipped before it overflows.
+            if (np.all(self._lower <= top - shrink)
+                    and np.all(self._upper >= shrink - top)):
+                x = _project(origin,
+                             _clips(self._lower + shrink,
+                                    self._upper - shrink),
+                             self._faces, [c - eps for c in self._bounds],
+                             self._active_sets)
+                if np.all(self.slack(x)
+                          > np.where(self._rest, 0.5 * eps, 0.0)):
+                    return x
             eps *= 0.5
         raise ValueError(
             "polyhedron has empty interior: no strictly feasible point found"

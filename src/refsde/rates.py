@@ -8,7 +8,10 @@ state array and advanced by one kernel call per grid step. This step loop,
 and ``reflected`` record one-path runs of it. Every operation acts row by
 row, so a path's result does not depend on which other paths or levels
 share the batch (a one-path run gives the bytes of its row in a sweep), and
-outputs are bitwise reproducible for a given configuration.
+outputs are bitwise reproducible for a given configuration. The sweeps
+sample their increments in time blocks of at most ``_BLOCK_WORDS`` fine
+words, and only one block is alive at a time, so their memory does not
+grow with the number of paths or steps.
 
 Errors are pooled as ``(mean over paths of sup^p)^(1/p)``; the bias of the
 root is accepted and the reported standard error is propagated to the same
@@ -89,7 +92,7 @@ class ErrorTable:
 
 
 REGRESSORS = {
-    "ln_n_over_n": lambda n: np.log(n) / n,
+    "ln_n_over_n": lambda n: math.log(n) / n,
     "inverse_n": lambda n: 1.0 / n,
 }
 
@@ -124,10 +127,11 @@ def fit_rate(table, regressor="ln_n_over_n", band=None):
         raise RateFitError(
             f"rate fit needs strictly positive errors; the error is 0 at "
             f"n = {zero}")
-    r = np.log(REGRESSORS[regressor](table.levels)).tolist()
-    e = np.log(errors).tolist()
-    # Closed-form least squares on centred regressors, with exactly rounded
-    # sums: no LAPACK, so the bits do not depend on the BLAS kernels.
+    # Scalar logs and closed-form least squares on centred regressors, with
+    # exactly rounded sums: neither numpy's SIMD log nor LAPACK, so the bits
+    # do not depend on the CPU dispatch or the BLAS kernels.
+    r = [math.log(REGRESSORS[regressor](n)) for n in table.levels.tolist()]
+    e = [math.log(v) for v in errors.tolist()]
     count = len(r)
     r_mean, e_mean = math.fsum(r) / count, math.fsum(e) / count
     dr = [v - r_mean for v in r]
@@ -267,6 +271,9 @@ def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
 
 # Fine increment words (paths x steps x d) sampled per time block.
 _BLOCK_WORDS = 2 ** 20
+# Paths sampled per call while a block is filled: the tile's
+# (paths, steps, d) samples are the only copy besides the block itself.
+_TILE_PATHS = 32
 
 
 @dataclass(frozen=True)
@@ -370,29 +377,46 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
                     )
             k += 1
             yield x, dk, x_ref, dy
+        # Dropped before the next block is sampled: one block in flight.
+        del inc, inc_ref
 
 
 def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
     """Sampled increment pairs for ``_lockstep``: fine increments for the
-    reference and their ``factor``-step sums for the levels. Blocks hold at
-    most ``_BLOCK_WORDS`` fine words, so memory stays flat however many
-    paths there are, and align with the factor, so the sums match a
-    whole-path generation bitwise. Time-major order, ``(steps, P, d)``,
-    lets every step read one contiguous ``(P, d)`` slab."""
+    reference and their ``factor``-step sums for the levels, in time-major
+    order, ``(steps, P, d)``, so that every step reads one contiguous
+    ``(P, d)`` slab. Blocks hold at most ``_BLOCK_WORDS`` fine words and
+    align with the factor, so the sums match a whole-path generation
+    bitwise. Only one block is in flight: ``_lockstep`` drops each block
+    before the next is sampled, and a block is filled in place one tile of
+    ``_TILE_PATHS`` paths at a time. So the increments take at most one
+    block of fine words (8 MiB), its sums and one tile, however many paths
+    and steps there are."""
     m = grid.steps
     finest = TimeGrid(grid.horizon, ref_steps or m)
     factor = finest.steps // m
     block = max(1, _BLOCK_WORDS // max(1, num_paths * d * factor))
-    paths = range(num_paths)
     for b0 in range(0, m, block):
-        b1 = min(b0 + block, m)
-        inc_f = sample_increments(finest, master_seed, paths, d,
-                                  step_lo=b0 * factor, step_hi=b1 * factor)
-        inc = _time_major(halve_increments(inc_f, factor))
-        # Rebound, so that the generator, suspended at the yield, does not
-        # keep the sampled (P, steps, d) block alive.
-        inc_f = inc if factor == 1 else _time_major(inc_f)
-        yield inc, inc_f
+        # Yielded straight from the call, so the suspended generator holds
+        # no reference to the block.
+        yield _sample_block(finest, master_seed, num_paths, d, factor,
+                            b0, min(b0 + block, m))
+
+
+def _sample_block(finest, master_seed, num_paths, d, factor, b0, b1):
+    """The time-major pair of ``_increment_blocks`` for coarse steps
+    ``b0:b1``, filled one tile of paths at a time."""
+    inc = np.empty((b1 - b0, num_paths, d))
+    inc_f = inc if factor == 1 else np.empty(((b1 - b0) * factor,
+                                              num_paths, d))
+    for p0 in range(0, num_paths, _TILE_PATHS):
+        p1 = min(p0 + _TILE_PATHS, num_paths)
+        tile = sample_increments(finest, master_seed, range(p0, p1), d,
+                                 step_lo=b0 * factor, step_hi=b1 * factor)
+        if factor > 1:
+            inc_f[:, p0:p1] = tile.transpose(1, 0, 2)
+        inc[:, p0:p1] = halve_increments(tile, factor).transpose(1, 0, 2)
+    return inc, inc_f
 
 
 def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
@@ -423,11 +447,6 @@ def _first_bad_row(x):
     """Flat index, in row-major order, of the first row of ``x`` that is
     not finite."""
     return int(np.argmin(np.isfinite(x).all(axis=-1)))
-
-
-def _time_major(inc):
-    """A contiguous ``(steps, P, d)`` copy of a ``(P, steps, d)`` block."""
-    return np.ascontiguousarray(inc.transpose(1, 0, 2))
 
 
 def _pooled_norm(sups, p):

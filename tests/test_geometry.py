@@ -247,6 +247,18 @@ def test_halfline_anchor_is_the_first_certified_margin():
     np.testing.assert_array_equal(HalfLine(3.0).interior_point(), [4.5])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make, anchor", [
+    (lambda: HalfLine(1.7e308), 1.7e308 + 1.7e308 / 32),
+    (lambda: Box([1.7e308], [np.inf]), 1.7e308 + 1.7e308 / 32),
+    (lambda: Box([-np.inf], [-1.7e308]), -1.7e308 - 1.7e308 / 32),
+], ids=["halfline", "box-above", "box-below"])
+def test_bounds_near_the_largest_float_do_not_overflow(make, anchor):
+    # Margins of 1/2, 1/4, 1/8 and 1/16 of the scale 1.7e308 would move the
+    # bound past the largest float; the first that does not is certified.
+    np.testing.assert_array_equal(make().interior_point(), [anchor])
+
+
 def test_interior_point_is_strictly_inside():
     for dom in all_domains():
         anchor = dom.interior_point()

@@ -1,8 +1,12 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from oracle import penalized_loop, reference_loop
 
-from refsde.brownian import TimeGrid, coarsen, sample_path
+from refsde.brownian import (TimeGrid, coarsen, halve_increments,
+                             sample_increments, sample_path)
 from refsde.coefficients import CoefficientField, make_coefficients
 from refsde.errors import IntegrationError
 from refsde.geometry import HalfLine, Polyhedron
@@ -282,6 +286,79 @@ def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, block_words):
     for key in ("sup_err", "sup_dist", "terminal", "ref_terminal"):
         assert blocked[key].shape == whole[key].shape
         assert blocked[key].tobytes() == whole[key].tobytes()
+
+
+_TILE = rates._TILE_PATHS
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("num_paths", [1, _TILE - 1, _TILE + 1, 2 * _TILE + 3])
+@pytest.mark.parametrize("factor", [1, 2, 4])
+def test_increment_blocks_match_whole_path_sampling(monkeypatch, factor,
+                                                    num_paths, d):
+    # Blocks of 3 of the 16 coarse steps, the last one partial. The block
+    # at step 3 starts at fine word 3 * factor * d, which is not a multiple
+    # of 4 for factors 1 and 2 and odd d (and for factor 1, d = 2).
+    grid = TimeGrid.from_log2(1.0, 4)
+    finest = TimeGrid(1.0, factor * grid.steps)
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", 3 * num_paths * d * factor)
+    blocks = list(rates._increment_blocks(grid, finest.steps, 17, num_paths,
+                                          d))
+    assert [inc.shape for inc, _ in blocks] == (
+        [(3, num_paths, d)] * 5 + [(1, num_paths, d)])
+    for inc, inc_f in blocks:
+        assert inc.flags.c_contiguous and inc_f.flags.c_contiguous
+        assert inc_f.shape == (factor * inc.shape[0], num_paths, d)
+    whole = sample_increments(finest, 17, range(num_paths), d)
+    fine = np.concatenate([inc_f for _, inc_f in blocks])
+    coarse = np.concatenate([inc for inc, _ in blocks])
+    assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
+    assert coarse.tobytes() == (
+        halve_increments(whole, factor).transpose(1, 0, 2).tobytes())
+
+
+@pytest.mark.parametrize("factor", [None, 2])
+def test_one_increment_block_in_flight(monkeypatch, factor):
+    # 512 paths on 2^10 steps, in blocks of 2^17 fine words (1 MiB): at
+    # least 4 blocks. Each block must be garbage by the time the first tile
+    # of the next one is sampled, so the sweep's allocations peak at one
+    # block pair plus a tile's sampling, well below two blocks.
+    grid = TimeGrid.from_log2(1.0, 10)
+    num_paths, block_words = 512, 2 ** 17
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", block_words)
+    live, alive_at_sampling = [], []
+    increment_blocks = rates._increment_blocks
+
+    def recorded_blocks(*args):
+        for pair in increment_blocks(*args):
+            live.extend(weakref.ref(a) for a in pair)
+            yield pair
+            del pair
+
+    def counted_sampler(*args, **kwargs):
+        alive_at_sampling.append(sum(r() is not None for r in live))
+        return sample_increments(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "_increment_blocks", recorded_blocks)
+    monkeypatch.setattr(rates, "sample_increments", counted_sampler)
+    ref_steps = None if factor is None else factor * grid.steps
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _sweep_paths(HalfLine(0.0), make_coefficients("ou1d"),
+                     np.array([0.0]), grid, [16.0, 256.0], num_paths, 5,
+                     "splitting", ref_steps=ref_steps,
+                     want_err=factor is not None, want_dist=factor is None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(live) // 2 >= 4
+    assert alive_at_sampling and max(alive_at_sampling) == 0
+    # The fine block, the levels' block sums (a separate array only with a
+    # refined reference) and half a block of slack.
+    block_bytes = 8 * block_words
+    sums_bytes = 0 if factor is None else block_bytes // factor
+    assert peak <= block_bytes + sums_bytes + block_bytes // 2
 
 
 def test_sweep_rows_independent_of_batch_quadrant():
