@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -36,11 +37,9 @@ from .coefficients import check_linear_growth, check_lipschitz, \
     make_coefficients
 from .errors import ConfigError, IntegrationError, RateFitError
 from .geometry import Ball, domain_from_spec, row_norm, sample_points
-from .rates import boundary_distance_sweep, fit_rate, monotone_decreasing, \
-    strong_error_sweep, weak_compare
+from .rates import REGRESSORS, WEAK_FUNCTIONALS, boundary_distance_sweep, \
+    fit_rate, monotone_decreasing, strong_error_sweep, weak_compare
 from . import tolerances as tol
-
-KINDS = ("validate", "dist-rate", "strong-rate", "weak-compare")
 
 _COMMON_KEYS = {"kind", "domain", "coefficients", "x0", "horizon_T",
                 "log2_fine_steps", "master_seed", "num_paths"}
@@ -52,6 +51,7 @@ _KEYS_BY_KIND = {
         | {"reference", "regressor", "slope_band"},
     "weak-compare": _COMMON_KEYS | _SWEEP_KEYS | {"reference", "functional"},
 }
+KINDS = tuple(_KEYS_BY_KIND)
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,15 @@ def _convert(value, cast, what):
     return out
 
 
+def _has_bool(value):
+    """True when a JSON boolean occurs anywhere in ``value``."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def parse_config(raw, kind):
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -107,8 +116,11 @@ def parse_config(raw, kind):
     if "kind" in raw and raw["kind"] != kind:
         raise ConfigError(
             f"config kind {raw['kind']!r} does not match subcommand {kind!r}")
-    missing = ({"domain", "coefficients", "x0", "horizon_T",
-                "log2_fine_steps", "master_seed", "num_paths"} - set(raw))
+    # No config value is boolean, and Python would read true as 1.
+    booleans = sorted(key for key, value in raw.items() if _has_bool(value))
+    if booleans:
+        raise ConfigError(f"booleans are not valid config values: {booleans}")
+    missing = _COMMON_KEYS - {"kind"} - set(raw)
     if kind != "validate":
         missing |= {"n_list", "scheme"} - set(raw)
     if missing:
@@ -116,7 +128,7 @@ def parse_config(raw, kind):
 
     try:
         domain = domain_from_spec(raw["domain"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid domain: {exc}") from exc
 
     coeff_spec = raw["coefficients"]
@@ -126,7 +138,7 @@ def parse_config(raw, kind):
         coeffs = make_coefficients(
             coeff_spec["name"],
             **{k: v for k, v in coeff_spec.items() if k != "name"})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid coefficients: {exc}") from exc
     if coeffs.dim != domain.dim:
         raise ConfigError(
@@ -206,14 +218,14 @@ def parse_config(raw, kind):
 
     if kind == "weak-compare":
         functional = raw.get("functional", "cdf")
-        if functional not in ("mean", "second_moment", "cdf"):
+        if functional not in WEAK_FUNCTIONALS:
             raise ConfigError(f"unknown functional {functional!r}")
         if functional == "cdf" and domain.dim != 1:
             raise ConfigError("the CDF functional requires dimension 1")
         cfg.update(functional=functional)
     else:
         regressor = raw.get("regressor", "ln_n_over_n")
-        if regressor not in ("ln_n_over_n", "inverse_n"):
+        if regressor not in tuple(REGRESSORS):  # a list value must not raise
             raise ConfigError(f"unknown regressor {regressor!r}")
         band = raw.get("slope_band")
         if band is None:
@@ -250,22 +262,15 @@ def run(config, out_dir):
         artifacts = {
             "validation_report.json": _json_bytes(summary),
         }
-    elif config.kind == "dist-rate":
-        tables = boundary_distance_sweep(
-            config.domain, config.coefficients, config.x0, config.grid,
-            config.n_list, config.num_paths, config.master_seed,
-            p_list=config.p_list, scheme=config.scheme)
-        summary = _rate_summary(config, tables)
-        artifacts = {
-            "errors.csv": _rate_csv(tables),
-            "rate_report.json": _json_bytes(summary),
-        }
-    elif config.kind == "strong-rate":
-        tables = strong_error_sweep(
-            config.domain, config.coefficients, config.x0, config.grid,
-            config.n_list, config.num_paths, config.master_seed,
-            p_list=config.p_list, scheme=config.scheme,
-            reference_steps=config.reference_steps)
+    elif config.kind in ("dist-rate", "strong-rate"):
+        # Looked up per call, so a wrapper installed on these names runs.
+        sweep = (boundary_distance_sweep if config.kind == "dist-rate"
+                 else partial(strong_error_sweep,
+                              reference_steps=config.reference_steps))
+        tables = sweep(config.domain, config.coefficients, config.x0,
+                       config.grid, config.n_list, config.num_paths,
+                       config.master_seed, p_list=config.p_list,
+                       scheme=config.scheme)
         summary = _rate_summary(config, tables)
         artifacts = {
             "errors.csv": _rate_csv(tables),
@@ -308,14 +313,12 @@ def _run_validate(config):
 
     if coeffs.growth_constant is not None:
         rep = check_linear_growth(coeffs, coeffs.growth_constant,
-                                  samples=10_000, box_radius=10.0,
                                   rng_seed=config.master_seed)
         checks.append({"name": "linear_growth", "passed": bool(rep.passed),
                        "detail": f"max ratio {rep.max_ratio:.6g} vs "
                                  f"C = {rep.constant:.6g}"})
     if coeffs.lipschitz_constant is not None:
         rep = check_lipschitz(coeffs, coeffs.lipschitz_constant,
-                              samples=10_000, box_radius=10.0,
                               rng_seed=config.master_seed)
         checks.append({"name": "lipschitz", "passed": bool(rep.passed),
                        "detail": f"max quotient {rep.max_quotient:.6g} vs "
@@ -343,7 +346,7 @@ def _rate_summary(config, tables):
     reports = {}
     for p, table in tables.items():
         fits = {}
-        for reg in ("ln_n_over_n", "inverse_n"):
+        for reg in REGRESSORS:
             band = config.slope_band if reg == config.regressor else None
             fit = fit_rate(table, regressor=reg, band=band)
             fits[reg] = {"slope": fit.slope, "intercept": fit.intercept,

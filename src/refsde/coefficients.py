@@ -13,7 +13,8 @@ only; the hypotheses themselves are global and the coefficients are opaque
 callables, so the reports record the box that was probed.
 """
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -23,7 +24,6 @@ from . import tolerances as tol
 
 __all__ = [
     "CoefficientField",
-    "CatalogEntry",
     "CATALOG",
     "GrowthReport",
     "LipschitzReport",
@@ -168,31 +168,12 @@ def _build_schmidt1d(sigma_low=1.0, sigma_high=2.0, threshold=1.0):
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    dim: int
-    build: Callable[..., CoefficientField]
-    defaults: dict = field(default_factory=dict)
-
-
+# Each builder's signature declares the entry's parameters and defaults.
 CATALOG = {
-    "ou1d": CatalogEntry(
-        name="ou1d", dim=1, build=_build_ou1d,
-        defaults={"kappa": 1.0, "sigma0": 1.0},
-    ),
-    "gbm-box": CatalogEntry(
-        name="gbm-box", dim=2, build=_build_gbm_box,
-        defaults={"mu": 0.05, "sigma0": 0.3, "cap": 10.0},
-    ),
-    "quadrant2d": CatalogEntry(
-        name="quadrant2d", dim=2, build=_build_quadrant2d,
-        defaults={"amplitude": 0.1, "drift_scale": 0.5},
-    ),
-    "schmidt1d": CatalogEntry(
-        name="schmidt1d", dim=1, build=_build_schmidt1d,
-        defaults={"sigma_low": 1.0, "sigma_high": 2.0, "threshold": 1.0},
-    ),
+    "ou1d": _build_ou1d,
+    "gbm-box": _build_gbm_box,
+    "quadrant2d": _build_quadrant2d,
+    "schmidt1d": _build_schmidt1d,
 }
 
 
@@ -200,14 +181,11 @@ def make_coefficients(name, **params):
     """Instantiate a catalog entry by name with optional parameter overrides."""
     if name not in CATALOG:
         raise ValueError(f"unknown coefficient catalog entry {name!r}")
-    entry = CATALOG[name]
-    unknown = set(params) - set(entry.defaults)
+    build = CATALOG[name]
+    unknown = set(params) - set(inspect.signature(build).parameters)
     if unknown:
-        raise ValueError(
-            f"unknown parameters for {name!r}: {sorted(unknown)}"
-        )
-    merged = {**entry.defaults, **params}
-    return entry.build(**merged)
+        raise ValueError(f"unknown parameters for {name!r}: {sorted(unknown)}")
+    return build(**params)
 
 
 # ---------------------------------------------------------------------------

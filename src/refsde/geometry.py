@@ -26,7 +26,7 @@ already inside any domain are returned bitwise unchanged.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -292,10 +292,11 @@ class Ball(ConvexDomain):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if c.ndim != 1 or not np.all(np.isfinite(c)):
             raise ValueError("ball center must be a finite 1-d point")
-        if not (np.isfinite(self.radius) and self.radius > 0):
+        r = float(self.radius)
+        if not (np.isfinite(r) and r > 0):
             raise ValueError("ball radius must be strictly positive")
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", r)
 
     @property
     def dim(self):
@@ -543,32 +544,23 @@ def sample_points(domain, count, seed, spread=2.0, interior=False):
     return pts
 
 
+_DOMAIN_TYPES = {"halfline": HalfLine, "box": Box, "polyhedron": Polyhedron,
+                 "ball": Ball}
+
+
 def domain_from_spec(spec):
-    """Build a domain from its config mapping (see the CLI schema)."""
+    """A domain from its config mapping: a ``type`` and its class's fields."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("domain spec must be a mapping with a 'type' key")
     kind = spec["type"]
-    known = {
-        "halfline": {"lower"},
-        "box": {"lower", "upper"},
-        "polyhedron": {"normals", "offsets"},
-        "ball": {"center", "radius"},
-    }
-    if kind not in known:
+    if kind not in _DOMAIN_TYPES:
         raise ValueError(f"unknown domain type {kind!r}")
-    extra = set(spec) - known[kind] - {"type"}
+    cls = _DOMAIN_TYPES[kind]
+    known = {f.name for f in fields(cls) if f.init}
+    extra = set(spec) - known - {"type"}
     if extra:
         raise ValueError(f"unknown keys in domain spec: {sorted(extra)}")
-    missing = known[kind] - set(spec)
+    missing = known - set(spec)
     if missing:
         raise ValueError(f"domain spec missing keys: {sorted(missing)}")
-    if kind == "halfline":
-        return HalfLine(lower=float(spec["lower"]))
-    if kind == "box":
-        return Box(lower=np.asarray(spec["lower"], dtype=float),
-                   upper=np.asarray(spec["upper"], dtype=float))
-    if kind == "polyhedron":
-        return Polyhedron(normals=np.asarray(spec["normals"], dtype=float),
-                          offsets=np.asarray(spec["offsets"], dtype=float))
-    return Ball(center=np.asarray(spec["center"], dtype=float),
-                radius=float(spec["radius"]))
+    return cls(**{key: spec[key] for key in known})

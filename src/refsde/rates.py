@@ -10,8 +10,8 @@ row, so a path's result does not depend on which other paths or levels
 share the batch (a one-path run gives the bytes of its row in a sweep), and
 outputs are bitwise reproducible for a given configuration. The sweeps
 sample their increments in time blocks of at most ``_BLOCK_WORDS`` fine
-words, and only one block is alive at a time, so their memory does not
-grow with the number of paths or steps.
+words or one grid step, whichever is larger, and only one block is alive
+at a time, so their memory does not grow with the number of steps.
 
 Errors are pooled as ``(mean over paths of sup^p)^(1/p)``; the bias of the
 root is accepted and the reported standard error is propagated to the same
@@ -48,6 +48,7 @@ __all__ = [
     "weak_compare",
     "brownian_modulus_table",
     "REGRESSORS",
+    "WEAK_FUNCTIONALS",
 ]
 
 
@@ -59,7 +60,6 @@ __all__ = [
 class ErrorRow:
     level: int
     num_paths: int
-    h_fine: float
     error: float
     stderr: float
     p: float
@@ -262,7 +262,7 @@ def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
         ranges = _window_ranges(w_vals, [windows[i] for i in order])
         for pos, i in enumerate(order):
             sups[i, lo:hi] = ranges[pos]
-    return _tables(levels, sups, num_paths, grid.step, [p])[p]
+    return _tables(levels, sups, num_paths, [p])[p]
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +385,14 @@ def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
     """Sampled increment pairs for ``_lockstep``: fine increments for the
     reference and their ``factor``-step sums for the levels, in time-major
     order, ``(steps, P, d)``, so that every step reads one contiguous
-    ``(P, d)`` slab. Blocks hold at most ``_BLOCK_WORDS`` fine words and
-    align with the factor, so the sums match a whole-path generation
-    bitwise. Only one block is in flight: ``_lockstep`` drops each block
-    before the next is sampled, and a block is filled in place one tile of
-    ``_TILE_PATHS`` paths at a time. So the increments take at most one
-    block of fine words (8 MiB), its sums and one tile, however many paths
-    and steps there are."""
+    ``(P, d)`` slab. A block is as many whole coarse steps as fit in
+    ``_BLOCK_WORDS`` fine words, and at least one, so the sums match a
+    whole-path generation bitwise. It is filled in place one tile of
+    ``_TILE_PATHS`` paths at a time, and ``_lockstep`` drops it before the
+    next is sampled. So the increments take one block of at most
+    ``max(_BLOCK_WORDS, P * d * factor)`` fine words (8 MiB unless a
+    coarse step alone is larger), its sums and one tile, however many
+    steps there are."""
     m = grid.steps
     finest = TimeGrid(grid.horizon, ref_steps or m)
     factor = finest.steps // m
@@ -465,14 +466,14 @@ def _pooled_norm(sups, p):
     return err, float(se_mean / (p * mean ** ((p - 1.0) / p)))
 
 
-def _tables(levels, sups, num_paths, h_fine, p_list):
+def _tables(levels, sups, num_paths, p_list):
     tables = {}
     for p in p_list:
         rows = []
         for i, n in enumerate(levels):
             err, se = _pooled_norm(sups[i], p)
             rows.append(ErrorRow(level=int(n), num_paths=num_paths,
-                                 h_fine=h_fine, error=err, stderr=se, p=p))
+                                 error=err, stderr=se, p=p))
         tables[p] = ErrorTable(rows=tuple(rows))
     return tables
 
@@ -483,7 +484,7 @@ def boundary_distance_sweep(domain, coeffs, x0, grid, levels, num_paths,
     res = _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
                        master_seed, scheme, ref_steps=None, want_err=False,
                        want_dist=True)
-    return _tables(levels, res["sup_dist"], num_paths, grid.step, p_list)
+    return _tables(levels, res["sup_dist"], num_paths, p_list)
 
 
 def strong_error_sweep(domain, coeffs, x0, grid, levels, num_paths,
@@ -494,10 +495,10 @@ def strong_error_sweep(domain, coeffs, x0, grid, levels, num_paths,
                        master_seed, scheme,
                        ref_steps=reference_steps or grid.steps,
                        want_err=True, want_dist=False)
-    return _tables(levels, res["sup_err"], num_paths, grid.step, p_list)
+    return _tables(levels, res["sup_err"], num_paths, p_list)
 
 
-_WEAK_FUNCTIONALS = ("mean", "second_moment", "cdf")
+WEAK_FUNCTIONALS = ("mean", "second_moment", "cdf")
 
 
 def weak_compare(domain, coeffs, levels, grid, num_paths, functional, x0,
@@ -508,7 +509,7 @@ def weak_compare(domain, coeffs, levels, grid, num_paths, functional, x0,
     (absolute difference of mean squared norms) and ``cdf`` (two-sample
     sup distance of the empirical CDFs, one-dimensional only).
     """
-    if functional not in _WEAK_FUNCTIONALS:
+    if functional not in WEAK_FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
     if functional == "cdf" and domain.dim != 1:
         raise ValueError("the CDF distance requires dimension 1")

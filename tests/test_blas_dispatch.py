@@ -46,7 +46,7 @@ def noisy_table(seed=3):
     """
     z = np.random.default_rng(seed).standard_normal(len(LEVELS)).tolist()
     return ErrorTable(rows=tuple(
-        ErrorRow(level=n, num_paths=400, h_fine=2.0 ** -16,
+        ErrorRow(level=n, num_paths=400,
                  error=0.3 * (math.log(n) / n) ** 0.53 * math.exp(0.05 * v),
                  stderr=0.0, p=2.0)
         for n, v in zip(LEVELS, z)))

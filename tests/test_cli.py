@@ -96,6 +96,19 @@ def test_rate_kinds_need_four_levels(kind):
     ("slope_band", ["low", None]),
     ("domain", {"type": "halfline", "lower": None}),
     ("coefficients", {"name": "ou1d", "kappa": None}),
+    # No field is boolean: Python would read true as 1 and false as 0.
+    ("num_paths", True),
+    ("horizon_T", True),
+    ("master_seed", False),
+    ("x0", [False]),
+    ("n_list", [True, 8, 16, 32]),
+    ("p_list", [True]),
+    ("domain", {"type": "halfline", "lower": False}),
+    ("coefficients", {"name": "ou1d", "kappa": True}),
+    # kappa ** 2 overflows when the builder derives the constants.
+    ("coefficients", {"name": "ou1d", "kappa": 1e200}),
+    # An integer too large for a float.
+    ("domain", {"type": "halfline", "lower": 10 ** 400}),
 ])
 def test_malformed_values_are_config_errors(tmp_path, capsys, key, value):
     path = write_config(tmp_path, base_config(**{key: value}))

@@ -85,9 +85,12 @@ def test_lipschitz_linear_pair_exact_quotient():
 
 def test_catalog_names_and_dims():
     assert set(CATALOG) == {"ou1d", "gbm-box", "quadrant2d", "schmidt1d"}
-    for name, entry in CATALOG.items():
+    for name in CATALOG:
         field = make_coefficients(name)
-        assert field.dim == entry.dim
+        assert field.name == name
+        x = np.ones((3, field.dim))
+        assert np.shape(field.drift(0.0, x))[-1:] == (field.dim,)
+        assert np.shape(field.diffusion(0.0, x))[-2:] == (field.dim,) * 2
         assert field.growth_constant is not None
 
 
@@ -143,11 +146,41 @@ def test_schmidt_drift_is_one_shared_read_only_zero():
         (x + 0.01 * np.zeros_like(x)).view(np.uint64))
 
 
+# Each entry's parameters and defaults, as its builder's signature states.
+CATALOG_PARAMETERS = {
+    "ou1d": {"kappa": 1.0, "sigma0": 1.0},
+    "gbm-box": {"mu": 0.05, "sigma0": 0.3, "cap": 10.0},
+    "quadrant2d": {"amplitude": 0.1, "drift_scale": 0.5},
+    "schmidt1d": {"sigma_low": 1.0, "sigma_high": 2.0, "threshold": 1.0},
+}
+
+
+def evaluate(field):
+    """Diffusion and drift on a fixed spread of points, full shape."""
+    x = np.linspace(-30.0, 30.0, 61 * field.dim).reshape(61, field.dim)
+    return (np.broadcast_to(field.diffusion(0.0, x), x.shape + (field.dim,)),
+            np.broadcast_to(field.drift(0.0, x), x.shape))
+
+
 def test_catalog_parameter_overrides():
+    assert set(CATALOG) == set(CATALOG_PARAMETERS)
+    for name, params in CATALOG_PARAMETERS.items():
+        default = make_coefficients(name)
+        with pytest.raises(ValueError, match="unknown parameters"):
+            make_coefficients(name, theta=1.0)
+        for key, value in params.items():
+            # The stated default gives the default field, and another value
+            # reaches the callables.
+            same = make_coefficients(name, **{key: value})
+            assert (same.growth_constant, same.lipschitz_constant) \
+                == (default.growth_constant, default.lipschitz_constant)
+            for a, b in zip(evaluate(same), evaluate(default)):
+                np.testing.assert_array_equal(a, b)
+            other = evaluate(make_coefficients(name, **{key: 4.0 * value}))
+            assert any(np.any(a != b)
+                       for a, b in zip(other, evaluate(default))), (name, key)
     field = make_coefficients("ou1d", kappa=2.0)
     assert field.lipschitz_constant == 4.0
-    with pytest.raises(ValueError, match="unknown parameters"):
-        make_coefficients("ou1d", theta=1.0)
     with pytest.raises(ValueError, match="unknown coefficient"):
         make_coefficients("bm3d")
 

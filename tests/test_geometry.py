@@ -623,13 +623,31 @@ def test_sample_points_reach_the_wedge_apex():
 
 # -- config construction -------------------------------------------------------
 
+DOMAIN_SPECS = {
+    "halfline": (HalfLine, {"lower": 0.5}),
+    "box": (Box, {"lower": [0.0, -np.inf], "upper": [2.0, 1.0]}),
+    "polyhedron": (Polyhedron, {"normals": [[-1.0, 0.0], [0.0, -1.0]],
+                                "offsets": [0.0, 0.0]}),
+    "ball": (Ball, {"center": [0.0, 1.0], "radius": 2.0}),
+}
+
+
 def test_domain_from_spec_roundtrip():
+    for kind, (cls, fields) in DOMAIN_SPECS.items():
+        dom = domain_from_spec({"type": kind, **fields})
+        assert type(dom) is cls
+        for key, value in fields.items():
+            np.testing.assert_array_equal(getattr(dom, key), value)
+        with pytest.raises(ValueError, match="unknown keys"):
+            domain_from_spec({"type": kind, **fields, "slope": 1})
+        for key in fields:
+            spec = {"type": kind, **fields}
+            del spec[key]
+            with pytest.raises(ValueError, match="missing"):
+                domain_from_spec(spec)
+    # A numeric string radius is read as a float.
     dom = domain_from_spec({"type": "ball", "center": [0.0, 1.0],
-                            "radius": 2.0})
+                            "radius": "2.0"})
     assert isinstance(dom, Ball) and dom.radius == 2.0
-    with pytest.raises(ValueError, match="unknown keys"):
-        domain_from_spec({"type": "halfline", "lower": 0.0, "slope": 1})
-    with pytest.raises(ValueError, match="missing"):
-        domain_from_spec({"type": "box", "lower": [0.0]})
     with pytest.raises(ValueError, match="unknown domain type"):
         domain_from_spec({"type": "simplex"})

@@ -36,8 +36,8 @@ def zero_field(dim):
 
 def table_from(levels, errors, stderr=0.0, p=2.0):
     rows = tuple(
-        ErrorRow(level=int(n), num_paths=100, h_fine=1e-3, error=float(e),
-                 stderr=stderr, p=p)
+        ErrorRow(level=int(n), num_paths=100, error=float(e), stderr=stderr,
+                 p=p)
         for n, e in zip(levels, errors))
     return ErrorTable(rows=rows)
 
