@@ -23,6 +23,7 @@ Exit codes: 0 success, 2 invalid config, 3 numerical failure.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -79,7 +80,8 @@ def load_config(path, kind):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and integers too long for Python to read.
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -134,12 +136,20 @@ def parse_config(raw, kind):
     coeff_spec = raw["coefficients"]
     if not isinstance(coeff_spec, dict) or "name" not in coeff_spec:
         raise ConfigError("coefficients must be a mapping with a 'name' key")
+    name = coeff_spec["name"]
+    params = {k: v for k, v in coeff_spec.items() if k != "name"}
+    # JSON's Infinity and NaN parse as floats; no parameter may take them.
+    non_finite = sorted(k for k, v in params.items()
+                        if isinstance(v, float) and not math.isfinite(v))
+    if non_finite:
+        raise ConfigError(f"coefficients {name!r}: parameters must be "
+                          f"finite: {non_finite}")
     try:
-        coeffs = make_coefficients(
-            coeff_spec["name"],
-            **{k: v for k, v in coeff_spec.items() if k != "name"})
+        coeffs = make_coefficients(name, **params)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid coefficients: {exc}") from exc
+        # Names, not values: the repr of a huge integer raises.
+        raise ConfigError(f"invalid coefficients {name!r} with parameters "
+                          f"{sorted(params)}: {exc}") from exc
     if coeffs.dim != domain.dim:
         raise ConfigError(
             f"coefficient dimension {coeffs.dim} does not match domain "

@@ -339,10 +339,20 @@ def row_norm(v):
     does not depend on its batch. It equals ``norm(v, axis=-1)`` bitwise
     for d <= 7, where numpy also sums in order (not pairwise).
     """
+    return np.sqrt(row_norm_sq(v))
+
+
+def row_norm_sq(v):
+    """Squared ``row_norm``: the column-order sum of squares it roots.
+
+    A sweep keeps running maxima of these and roots them once at the end:
+    ``sqrt`` is correctly rounded and monotone, so the root of a maximum is
+    the maximum of the roots, bit for bit.
+    """
     out = v[..., 0] * v[..., 0]
     for j in range(1, v.shape[-1]):
         out = out + v[..., j] * v[..., j]
-    return np.sqrt(out)
+    return out
 
 
 def _split_faces(normals, offsets):

@@ -56,26 +56,34 @@ def _matvec(sigma, vec):
     return out
 
 
-def euler_step(domain, coeffs, t, x, dw, h, level):
-    """One explicit step; returns (next state, penalty increment)."""
+def euler_step(domain, coeffs, t, x, dw, h, level, *, penalty=True):
+    """One explicit step; returns (next state, penalty increment).
+
+    With ``penalty=False`` the increment is not computed and is None.
+    """
     pen = (level * h) * (x - domain.project(x))
     x_next = x + _matvec(coeffs.diffusion(t, x), dw) + h * coeffs.drift(t, x) - pen
-    return x_next, -pen
+    return x_next, -pen if penalty else None
 
 
-def splitting_step(domain, coeffs, t, x, dw, h, level):
+def splitting_step(domain, coeffs, t, x, dw, h, level, *, decay=None,
+                   penalty=True):
     """Diffusion sub-step followed by exponential penalty relaxation.
 
     Returns (next state, penalty increment). The relaxation solves the
     penalty flow ``dz/dt = -n (z - project(z))`` exactly over the step:
     projection onto a convex set is constant along the ray from the
     post-diffusion point ``y`` to its projection, so the flow stays on that
-    ray and its gap to the anchor contracts by ``exp(-n h)``.
+    ray and its gap to the anchor contracts by ``exp(-n h)``. ``decay`` is
+    that factor, ``np.exp(-level * h)``, when the caller has it already;
+    with ``penalty=False`` the increment is not computed and is None.
     """
     y = x + _matvec(coeffs.diffusion(t, x), dw) + h * coeffs.drift(t, x)
     p = domain.project(y)
-    z = p + (y - p) * np.exp(-level * h)
-    return z, z - y
+    if decay is None:
+        decay = np.exp(-level * h)
+    z = p + (y - p) * decay
+    return z, z - y if penalty else None
 
 
 def euler_penalized(domain, coeffs, path, x0, level):
@@ -94,7 +102,7 @@ def _record(domain, coeffs, path, x0, level, scheme):
     inc = path.increments[:, None]
     run = [(x[0, 0], dk[0, 0]) for x, dk, _, _ in _lockstep(
         domain, coeffs, x0, path.grid, [level], 1, scheme, None,
-        [(inc, inc)])]
+        [(inc, inc)], penalties=True)]
     states, dk = map(np.array, zip(*run))
     # Summed from the zero first row, as 0.0 + dk: the -0.0 increments of
     # steps inside the domain accumulate to +0.0, not -0.0.

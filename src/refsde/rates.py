@@ -13,6 +13,14 @@ sample their increments in time blocks of at most ``_BLOCK_WORDS`` fine
 words or one grid step, whichever is larger, and only one block is alive
 at a time, so their memory does not grow with the number of steps.
 
+Per grid step a sweep computes only what it keeps: the levels' new states
+(one kernel call), the reference's sub-steps where there is one, one
+finiteness reduction per state array, and the squared distances or errors
+it folds into running maxima, which are rooted once at the end. The
+penalty increments, which only the per-path integrators record, are not
+computed, and the splitting scheme's decay ``exp(-n h)`` is computed once
+per sweep.
+
 Errors are pooled as ``(mean over paths of sup^p)^(1/p)``; the bias of the
 root is accepted and the reported standard error is propagated to the same
 scale. Rate fits regress ``log(error)`` on the log of a regressor of the
@@ -29,7 +37,7 @@ import numpy as np
 
 from .brownian import TimeGrid, halve_increments, sample_increments
 from .errors import IntegrationError, RateFitError
-from .geometry import row_norm
+from .geometry import row_norm, row_norm_sq
 from .penalized import euler_step, splitting_step
 from .reflected import projected_euler_step
 from . import tolerances as tol
@@ -285,7 +293,7 @@ class WeakRow:
 
 
 def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
-              blocks):
+              blocks, *, penalties=False):
     """The one step loop: advance the levels and the reference in lockstep.
 
     One kernel call per grid step advances the ``(L, P, d)`` states of all
@@ -300,9 +308,19 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     the step's penalty increments, and the reference state (None without
     one) with its driver increment over the step. At time 0 the increments
     are the initial values, 0 and ``x0``, so their running sums are the
-    penalty and the driver. A non-finite state raises ``IntegrationError``
-    naming its step and path; the guards are whole-array tests, and the
-    offending row is looked up only on failure.
+    penalty and the driver. The penalty increments are computed only with
+    ``penalties=True``, which the per-path recorders set; otherwise ``dk``
+    is None.
+
+    Per grid step this computes the kernel's new states and, if asked, its
+    penalty increments; the reference's sub-steps and their summed driver
+    increment; and one guard per state array. The splitting scheme's decay
+    ``exp(-n h)`` is computed once per sweep, with the kernel's own numpy
+    call on the same ``(L, 1, 1)`` array, so it has the bits a per-step
+    evaluation had. A non-finite state raises ``IntegrationError`` naming
+    its step and path; each guard is one reduction over the whole array,
+    and the exact test and the offending row's lookup run only when that
+    reduction is not finite.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.dim,):
@@ -316,6 +334,8 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
             or any(b <= a for a, b in zip(levels, levels[1:]))):
         raise ValueError("levels must be nonempty and strictly increasing")
     h = grid.step
+    level = np.array(levels)[:, None, None]
+    kw = {"penalty": penalties}
     if scheme == "euler":
         bad = [n for n in levels if n * h > 1.0 + 1e-12]
         if bad:
@@ -326,6 +346,7 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
         step = euler_step
     elif scheme == "splitting":
         step = splitting_step
+        kw["decay"] = np.exp(-level * h)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     factor = 1
@@ -337,11 +358,10 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
         h_ref = TimeGrid(grid.horizon, ref_steps).step
 
     d = domain.dim
-    level = np.array(levels)[:, None, None]
     x = np.broadcast_to(x0, (len(levels), num_paths, d)).copy()
     x_ref = (None if ref_steps is None
              else np.broadcast_to(x0, (num_paths, d)).copy())
-    dk, dy = np.zeros_like(x), x_ref
+    dk, dy = np.zeros_like(x) if penalties else None, x_ref
     yield x, dk, x_ref, dy
     k = 0
     for inc, inc_ref in blocks:
@@ -354,7 +374,7 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
                     x_ref, dy_j = projected_euler_step(
                         domain, coeffs, t + j * h_ref, x_ref,
                         inc_ref[i * factor + j], h_ref)
-                    if not np.isfinite(x_ref).all():
+                    if not _all_finite(x_ref):
                         s = k * factor + j + 1
                         pi = _first_bad_row(x_ref)
                         raise IntegrationError(
@@ -364,8 +384,8 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
                         )
                     dy = dy_j if j == 0 else dy + dy_j
             if levels:
-                x, dk = step(domain, coeffs, t, x, inc[i], h, level)
-                if not np.isfinite(x).all():
+                x, dk = step(domain, coeffs, t, x, inc[i], h, level, **kw)
+                if not _all_finite(x):
                     # Row-major order over (level, path): the first bad row
                     # is the one a level-by-level loop would have hit first.
                     li, pi = divmod(_first_bad_row(x), num_paths)
@@ -428,20 +448,40 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     per-path sup errors and sup boundary distances, shape ``(L, P)``, as
     requested, and the terminal states of the levels, ``(L, P, d)``, and of
     the reference, ``(P, d)``.
+
+    Per grid step, besides ``_lockstep``'s states, this computes only the
+    squared distances ``row_norm_sq(x - project(x))`` and squared errors
+    ``row_norm_sq(x - x_ref)`` asked for, and folds them into running
+    maxima; no penalty increments. The maxima are rooted once at the end,
+    which gives the bits of a per-step ``domain.distance`` and ``row_norm``
+    maximum.
     """
     blocks = _increment_blocks(grid, ref_steps, master_seed, num_paths,
                                domain.dim)
     shape = (len(levels), num_paths)
-    sup_err = np.zeros(shape) if want_err else None
-    sup_dist = np.zeros(shape) if want_dist else None
+    sq_err = np.zeros(shape) if want_err else None
+    sq_dist = np.zeros(shape) if want_dist else None
     for x, _, x_ref, _ in _lockstep(domain, coeffs, x0, grid, levels,
                                     num_paths, scheme, ref_steps, blocks):
         if want_dist:
-            np.maximum(sup_dist, domain.distance(x), out=sup_dist)
+            np.maximum(sq_dist, row_norm_sq(x - domain.project(x)),
+                       out=sq_dist)
         if want_err:
-            np.maximum(sup_err, row_norm(x - x_ref), out=sup_err)
-    return {"sup_err": sup_err, "sup_dist": sup_dist, "terminal": x,
-            "ref_terminal": x_ref}
+            np.maximum(sq_err, row_norm_sq(x - x_ref), out=sq_err)
+    return {"sup_err": np.sqrt(sq_err) if want_err else None,
+            "sup_dist": np.sqrt(sq_dist) if want_dist else None,
+            "terminal": x, "ref_terminal": x_ref}
+
+
+def _all_finite(x):
+    """``np.isfinite(x).all()``, in one pass when it holds.
+
+    ``np.vdot(x, x)`` is one reduction with no temporary, finite unless an
+    entry is not finite or the sum of squares overflows; only then does the
+    exact test run. Unlike ``x.sum()`` it does not warn on overflow, and an
+    ``np.errstate`` per step would cost more than the guard saves.
+    """
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
 def _first_bad_row(x):
@@ -451,8 +491,16 @@ def _first_bad_row(x):
 
 
 def _pooled_norm(sups, p):
-    """(mean of sup^p)^(1/p) and its delta-method standard error."""
-    v = sups ** p
+    """(mean of sup^p)^(1/p) and its delta-method standard error.
+
+    For p = 1 and p = 2, numpy's ``**`` is a copy and an exact square. For
+    other p it is numpy's SIMD ``power``, whose last bits depend on the
+    CPU dispatch, so each value is raised with ``math.pow`` instead.
+    """
+    if p in (1, 2):
+        v = sups ** p
+    else:
+        v = np.array([math.pow(s, p) for s in sups.tolist()])
     n = v.shape[0]
     mean = float(np.sum(v) / n)
     if n > 1:

@@ -7,9 +7,10 @@ can change in its last bits from one core type to another: a single-vector
 numpy likewise dispatches its ufuncs to the best SIMD level of the CPU, and
 ``NPY_DISABLE_CPU_FEATURES`` turns levels off: its AVX-512 (``X86_V4``)
 ``np.log`` differs in the last bit from the other levels on a few inputs.
-These tests run the projected-Euler variation on a ball and rate fits in
-child interpreters under several core types and SIMD levels and compare
-their bytes.
+Its AVX-512 ``power`` likewise differs on a few percent of inputs for
+exponents other than 1 and 2. These tests run the projected-Euler variation
+on a ball, rate fits and pooled L^p norms in child interpreters under
+several core types and SIMD levels and compare their bytes.
 """
 
 import json
@@ -37,6 +38,10 @@ LEVELS = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
 # ulp away from its log at the lower SIMD levels.
 LOG_DISPATCH_SEED = 213
 
+# Moment orders whose powers numpy's AVX-512 ``power`` rounds differently
+# from its lower SIMD levels on a few percent of inputs.
+POOLED_P = (1.5, 3.0, 4.0, 8.0)
+
 
 def noisy_table(seed=3):
     """A rate table near slope 0.53 with a few percent of noise.
@@ -55,11 +60,11 @@ def noisy_table(seed=3):
 CHILD = """
 import hashlib, json
 import numpy as np
-from test_blas_dispatch import LOG_DISPATCH_SEED, noisy_table
+from test_blas_dispatch import LOG_DISPATCH_SEED, POOLED_P, noisy_table
 from refsde.brownian import TimeGrid, sample_path
 from refsde.coefficients import make_coefficients
 from refsde.geometry import Ball
-from refsde.rates import fit_rate
+from refsde.rates import _tables, fit_rate
 from refsde.reflected import projected_euler
 
 ball = Ball(center=[0.0, 0.0], radius=1.0)
@@ -72,10 +77,16 @@ for i in range(5):
     variation.update(traj.variation.tobytes())
 fits = [fit_rate(noisy_table(seed), reg) for seed in (3, LOG_DISPATCH_SEED)
         for reg in ("ln_n_over_n", "inverse_n")]
+# Sup-like values from the bit generator's uniform doubles, which do not
+# depend on the SIMD level.
+sups = np.random.default_rng(11).random((4, 2000)) * 3.0
+pooled = _tables([16, 32, 64, 128], sups, 2000, POOLED_P)
 print(json.dumps({
     "variation": variation.hexdigest(),
     "fit": [[f.slope.hex(), f.intercept.hex(), f.residual_rms.hex()]
-            for f in fits]}))
+            for f in fits],
+    "pooled": [[r.error.hex(), r.stderr.hex()]
+               for p in POOLED_P for r in pooled[p].rows]}))
 """
 
 
@@ -122,6 +133,13 @@ def test_rate_fit_is_independent_of_the_simd_level(per_coretype,
     want = per_coretype[None]["fit"]
     for off in SIMD_OFF:
         assert per_simd_level[off]["fit"] == want, off
+
+
+def test_pooled_norm_is_independent_of_the_simd_level(per_coretype,
+                                                      per_simd_level):
+    want = per_coretype[None]["pooled"]
+    for off in SIMD_OFF:
+        assert per_simd_level[off]["pooled"] == want, off
 
 
 def test_rate_fit_agrees_with_polyfit():

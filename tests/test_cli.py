@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import refsde
-from refsde.cli import main, parse_config, run
+from refsde.cli import load_config, main, parse_config, run
 from refsde.errors import ConfigError
 
 
@@ -109,13 +109,43 @@ def test_rate_kinds_need_four_levels(kind):
     ("coefficients", {"name": "ou1d", "kappa": 1e200}),
     # An integer too large for a float.
     ("domain", {"type": "halfline", "lower": 10 ** 400}),
+    # JSON's Infinity, -Infinity and NaN; they failed at the first step.
+    ("coefficients", {"name": "ou1d", "kappa": float("inf")}),
+    ("coefficients", {"name": "ou1d", "kappa": float("-inf")}),
+    ("coefficients", {"name": "ou1d", "sigma0": float("nan")}),
 ])
 def test_malformed_values_are_config_errors(tmp_path, capsys, key, value):
     path = write_config(tmp_path, base_config(**{key: value}))
     code = main(["dist-rate", "--config", path,
                  "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if key == "coefficients" and all(v is not True for v in value.values()):
+        # The message names the catalog entry and the parameter given.
+        param = next(k for k in value if k != "name")
+        assert "'ou1d'" in err and param in err
+    if value == {"name": "ou1d", "kappa": 1e200}:
+        assert "invalid coefficients 'ou1d' with parameters ['kappa']" in err
+
+
+def test_coefficient_error_names_parameters_it_cannot_print():
+    # Python cannot print an integer of more than 4,300 digits, so the
+    # message names the parameters, not their values.
+    cfg = base_config(coefficients={"name": "ou1d", "kappa": 10 ** 5000})
+    with pytest.raises(ConfigError,
+                       match=r"'ou1d' with parameters \['kappa'\]"):
+        parse_config(cfg, "dist-rate")
+
+
+def test_infinite_domain_bounds_parse(tmp_path):
+    for lower, upper in (([0.0], [float("inf")]), ([float("-inf")], [2.0])):
+        path = write_config(tmp_path, base_config(
+            domain={"type": "box", "lower": lower, "upper": upper}))
+        assert "Infinity" in Path(path).read_text()
+        cfg = load_config(path, "dist-rate")
+        assert (cfg.domain.lower.tolist(), cfg.domain.upper.tolist()) == (
+            lower, upper)
 
 
 def test_p_list_range_enforced():
@@ -179,6 +209,19 @@ def test_main_returns_2_on_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["validate", "--config", str(path)]) == 2
+
+
+def test_main_returns_2_on_an_integer_too_long_to_read(tmp_path, capsys):
+    # Python reads integers of at most 4,300 digits; json.dumps could not
+    # write this one either.
+    text = json.dumps(base_config(master_seed=7)).replace(
+        '"master_seed": 7', '"master_seed": ' + "9" * 5000)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["dist-rate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 def test_main_returns_3_on_blowup(tmp_path, capsys):

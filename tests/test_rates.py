@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from refsde.brownian import (TimeGrid, coarsen, halve_increments,
                              sample_increments, sample_path)
 from refsde.coefficients import CoefficientField, make_coefficients
 from refsde.errors import IntegrationError
-from refsde.geometry import HalfLine, Polyhedron
+from refsde.geometry import Ball, Box, HalfLine, Polyhedron, row_norm
 from refsde.penalized import splitting_penalized
 from refsde import rates
 from refsde.rates import (
@@ -206,41 +207,83 @@ def test_brownian_modulus_slope_smoke():
 # (``tests/oracle.py``), not the per-path integrators, which run through the
 # sweep's own step loop.
 
-def test_sweep_matches_per_path_api_bitwise():
-    domain = HalfLine(0.0)
-    coeffs = make_coefficients("ou1d")
+def check_sweep_against_oracle(domain, coeffs, x0, levels, num_paths, seed,
+                               scheme="splitting"):
+    """The sweep's sups and terminal states against the per-point loops.
+
+    The sweep keeps running maxima of squared norms and roots them at the
+    end; the oracle takes the maximum of ``domain.distance`` and
+    ``row_norm`` at every step. They must agree bitwise.
+    """
     grid = TimeGrid.from_log2(1.0, 8)
-    x0 = np.array([0.0])
-    levels = [16.0, 64.0]
-    res = _sweep_paths(domain, coeffs, x0, grid, levels, 6, 42, "splitting",
-                       ref_steps=grid.steps, want_err=True, want_dist=True)
-    for pi in range(6):
-        path = sample_path(grid, 42, pi)
+    x0 = np.array(x0, dtype=float)
+    res = _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, seed,
+                       scheme, ref_steps=grid.steps, want_err=True,
+                       want_dist=True)
+    for pi in range(num_paths):
+        path = sample_path(grid, seed, pi, dim=domain.dim)
         ref = reference_loop(domain, coeffs, path, x0)[0]
         for li, n in enumerate(levels):
-            states, _, max_dist = penalized_loop(domain, coeffs, path, x0, n)
-            sup = np.max(np.linalg.norm(states - ref, axis=-1))
+            states, _, max_dist = penalized_loop(domain, coeffs, path, x0, n,
+                                                 scheme)
+            sup = max(float(row_norm(a - b)) for a, b in zip(states, ref))
             assert res["sup_err"][li, pi] == sup
             assert res["sup_dist"][li, pi] == max_dist
             assert np.array_equal(res["terminal"][li, pi], states[-1])
         assert np.array_equal(res["ref_terminal"][pi], ref[-1])
 
 
+def test_sweep_matches_per_path_api_bitwise():
+    check_sweep_against_oracle(HalfLine(0.0), make_coefficients("ou1d"),
+                               [0.0], [16.0, 64.0], 6, 42)
+
+
 def test_sweep_matches_per_path_api_polyhedron():
     domain = Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]],
                         offsets=[0.0, 0.0])
-    coeffs = make_coefficients("quadrant2d")
-    grid = TimeGrid.from_log2(1.0, 8)
-    x0 = np.array([0.0, 0.0])
-    res = _sweep_paths(domain, coeffs, x0, grid, [64.0], 4, 9, "splitting",
-                       ref_steps=grid.steps, want_err=True, want_dist=True)
-    for pi in range(4):
-        path = sample_path(grid, 9, pi, dim=2)
-        ref = reference_loop(domain, coeffs, path, x0)[0]
-        states, _, max_dist = penalized_loop(domain, coeffs, path, x0, 64.0)
-        sup = np.max(np.linalg.norm(states - ref, axis=-1))
-        assert res["sup_err"][0, pi] == sup
-        assert res["sup_dist"][0, pi] == max_dist
+    check_sweep_against_oracle(domain, make_coefficients("quadrant2d"),
+                               [0.0, 0.0], [64.0], 4, 9)
+
+
+SQ2 = np.sqrt(0.5)
+
+# Small domains, so that every path leaves them and the sups are not 0.
+SWEEP_DOMAINS = {
+    "halfline": (HalfLine(0.0), "ou1d", [0.0]),
+    "box": (Box(lower=[0.0], upper=[0.5]), "schmidt1d", [0.25]),
+    "quadrant": (Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]],
+                            offsets=[0.0, 0.0]), "quadrant2d", [0.0, 0.0]),
+    "triangle": (Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0], [SQ2, SQ2]],
+                            offsets=[0.0, 0.0, 0.5 * SQ2]),
+                 "quadrant2d", [0.1, 0.1]),
+    "ball": (Ball(center=[0.5, -0.5], radius=0.5), "quadrant2d",
+             [0.5, -0.5]),
+}
+
+
+@pytest.mark.parametrize("scheme", ["euler", "splitting"])
+@pytest.mark.parametrize("name", sorted(SWEEP_DOMAINS))
+def test_sweep_matches_per_path_api_every_domain(name, scheme):
+    # n h = 1 at the top level, the largest the explicit scheme allows.
+    domain, coeffs, x0 = SWEEP_DOMAINS[name]
+    check_sweep_against_oracle(domain, make_coefficients(coeffs), x0,
+                               [16.0, 256.0], 3, 17, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "splitting"])
+def test_sweep_guard_passes_finite_states_whose_sum_overflows(scheme):
+    # Every state stays at 1e308: finite, though their sum overflows. The
+    # guard must neither raise nor warn.
+    grid = TimeGrid.from_log2(1.0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _sweep_paths(HalfLine(0.0), zero_field(1), np.array([1e308]),
+                           grid, [4.0, 16.0], 5, 3, scheme,
+                           ref_steps=grid.steps, want_err=True,
+                           want_dist=True)
+    assert np.all(res["terminal"] == 1e308)
+    assert np.all(res["ref_terminal"] == 1e308)
+    assert np.all(res["sup_err"] == 0.0) and np.all(res["sup_dist"] == 0.0)
 
 
 def test_sweep_refined_reference_matches_per_path_api_bitwise():
