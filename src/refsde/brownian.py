@@ -10,11 +10,11 @@ the same increments bitwise. Because the stream depends on nothing but key
 and counter, one generator per call is re-keyed for each path, which gives
 the words a fresh generator would; no entropy is ever drawn.
 
-Block sums for coarsening are computed by repeated pairwise halving. This
-fixed dyadic tree makes ``coarsen(coarsen(p, 2), 2)`` bitwise identical to
-``coarsen(p, 4)``, and makes partial sums along the dyadic decomposition
-(see ``BrownianPath.values``) agree bitwise between a path and any of its
-coarsenings at shared grid times.
+``halve_increments`` forms block sums over a fixed dyadic tree (repeated
+pairwise halving), so halving by 2 twice equals halving by 4 bitwise. A
+sweep whose reference is refined steps its levels on these block sums, so a
+level's increments are bitwise the block sums of the reference's fine
+increments.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["TimeGrid", "BrownianPath", "sample_path", "sample_increments", "coarsen"]
+__all__ = ["TimeGrid", "BrownianPath", "sample_path", "sample_increments"]
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
@@ -50,13 +50,6 @@ class TimeGrid:
     def step(self):
         return self.horizon / self.steps
 
-    def times(self):
-        return np.arange(self.steps + 1) * self.step
-
-    def coarsened(self, factor):
-        factor = _check_factor(factor, self.steps)
-        return TimeGrid(self.horizon, self.steps // factor)
-
     @classmethod
     def from_log2(cls, horizon, log2_steps):
         return cls(horizon, 1 << int(log2_steps))
@@ -80,15 +73,6 @@ class BrownianPath:
     @property
     def dim(self):
         return self.increments.shape[1]
-
-    def values(self):
-        """Path values W_{t_k}, shape (M+1, d), with W_0 = 0.
-
-        Each partial sum is assembled from the dyadic block sums of the
-        increments, added coarsest-block first. Coarsening a path never
-        changes the values at surviving grid times, bitwise.
-        """
-        return _tree_values(self.increments)
 
 
 def sample_path(grid, master_seed, path_index, dim=1):
@@ -151,23 +135,6 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
     return z.reshape(len(idx), n_steps, dim)
 
 
-def coarsen(path, factor):
-    """Same Brownian motion restricted to a grid coarser by ``factor``.
-
-    Increments are summed in dyadic blocks (repeated pairwise halving), so
-    coarsening composes bitwise: coarsen by 2 twice equals coarsen by 4.
-    """
-    factor = _check_factor(factor, path.grid.steps)
-    if factor == 1:
-        return path
-    return BrownianPath(
-        grid=path.grid.coarsened(factor),
-        increments=halve_increments(path.increments, factor),
-        master_seed=path.master_seed,
-        path_index=path.path_index,
-    )
-
-
 def halve_increments(increments, factor):
     """Pairwise block sums along the time axis of an (..., M, d) array."""
     out = increments
@@ -175,34 +142,4 @@ def halve_increments(increments, factor):
     while f > 1:
         out = out[..., 0::2, :] + out[..., 1::2, :]
         f //= 2
-    return out
-
-
-def _check_factor(factor, steps):
-    f = int(factor)
-    if f < 1 or (f & (f - 1)) != 0:
-        raise ValueError("factor must be a power of two")
-    if steps % f != 0:
-        raise ValueError("factor must divide the number of steps")
-    return f
-
-
-def _tree_values(increments):
-    """Prefix sums assembled from dyadic block sums, coarsest block first."""
-    m, d = increments.shape[-2], increments.shape[-1]
-    levels = [increments]
-    while levels[-1].shape[-2] > 1:
-        prev = levels[-1]
-        levels.append(prev[..., 0::2, :] + prev[..., 1::2, :])
-    out = np.zeros(increments.shape[:-2] + (m + 1, d))
-    idx = np.arange(m + 1)
-    pos = np.zeros(m + 1, dtype=np.int64)
-    for k in range(len(levels) - 1, -1, -1):
-        size = 1 << k
-        mask = (idx & size) != 0
-        if not np.any(mask):
-            continue
-        node = pos[mask] >> k
-        out[..., mask, :] = out[..., mask, :] + levels[k][..., node, :]
-        pos[mask] += size
     return out

@@ -1,4 +1,4 @@
-"""Convex domains with metric projection, distance and inward normals.
+"""Convex domains with metric projection and distance.
 
 Two projections cover every domain: a polyhedron, the intersection of
 halfspaces with unit outward normals, and a euclidean ball. The
@@ -38,28 +38,9 @@ __all__ = [
     "Box",
     "Polyhedron",
     "Ball",
-    "NormalDirection",
     "sample_points",
     "domain_from_spec",
 ]
-
-
-@dataclass(frozen=True)
-class NormalDirection:
-    """Unit inward normal ``vector`` anchored at the boundary point ``anchor``."""
-
-    vector: np.ndarray
-    anchor: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        a = np.asarray(self.anchor, dtype=float)
-        if v.shape != a.shape or v.ndim != 1:
-            raise ValueError("normal vector and anchor must be 1-d of equal length")
-        if abs(row_norm(v) - 1.0) > tol.UNIT_VECTOR_TOL:
-            raise ValueError("normal vector must have unit length")
-        object.__setattr__(self, "vector", v)
-        object.__setattr__(self, "anchor", a)
 
 
 class ConvexDomain:
@@ -83,27 +64,6 @@ class ConvexDomain:
         if tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
         return self.distance(x) <= tolerance
-
-    def normal_at(self, x_outside):
-        """Inward unit normal at the projection of an exterior point.
-
-        The direction is ``(project(x) - x) / |project(x) - x|`` and the
-        anchor is ``project(x)``; it satisfies ``<y - anchor, n> >= 0`` for
-        every ``y`` in the domain closure. Raises ``ValueError`` when the
-        point is inside or within ``NORMAL_MIN_DIST`` of the closure, where
-        the direction is undefined.
-        """
-        x = np.asarray(x_outside, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("normal_at expects a single point")
-        x = self._check_point(x)
-        p = self.project(x)
-        gap = row_norm(x - p)
-        if gap <= tol.NORMAL_MIN_DIST:
-            raise ValueError(
-                "point is inside or too close to the domain; inward normal undefined"
-            )
-        return NormalDirection(vector=(p - x) / gap, anchor=p)
 
     def boundary_distance(self, x):
         """Distance from ``x`` to the domain boundary.
@@ -303,15 +263,23 @@ class Ball(ConvexDomain):
         return self.center.shape[0]
 
     def project(self, x):
+        # One whole-column pass per coordinate, as in ``row_norm_sq``: the
+        # elementwise operations of ``center + delta * (R / r)`` in the same
+        # order, so the bits are those of the broadcast over the last axis.
         x = self._check_point(x)
-        delta = x - self.center
-        r = row_norm(delta)
+        delta = [x[..., j] - c for j, c in enumerate(self.center)]
+        r_sq = delta[0] * delta[0]
+        for d_j in delta[1:]:
+            r_sq = r_sq + d_j * d_j
+        r = np.sqrt(r_sq)
         outside = r > self.radius
         if not np.any(outside):
             return x
-        safe_r = np.where(outside, r, 1.0)
-        scaled = self.center + delta * (self.radius / safe_r)[..., None]
-        return np.where(outside[..., None], scaled, x)
+        scale = self.radius / np.where(outside, r, 1.0)
+        out = np.empty_like(x)
+        for j, (c, d_j) in enumerate(zip(self.center, delta)):
+            out[..., j] = np.where(outside, c + d_j * scale, x[..., j])
+        return out
 
     def boundary_distance(self, x):
         x = self._check_point(x)

@@ -47,10 +47,8 @@ __all__ = [
     "ErrorTable",
     "RateReport",
     "WeakRow",
-    "lp_sup_error",
     "fit_rate",
     "monotone_decreasing",
-    "modulus_of_continuity",
     "boundary_distance_sweep",
     "strong_error_sweep",
     "weak_compare",
@@ -171,51 +169,9 @@ def monotone_decreasing(table, sigmas=2.0):
     return bool(np.all(e[1:] - e[:-1] < slack))
 
 
-def lp_sup_error(ref, approx, p):
-    """p-th power of the sup distance between two trajectories on one grid."""
-    if p < 1:
-        raise ValueError("moment order p must be >= 1")
-    if ref.grid != approx.grid or ref.states.shape != approx.states.shape:
-        raise ValueError("trajectories must share a grid; coarsen first")
-    gap = row_norm(ref.states - approx.states)
-    return float(np.max(gap)) ** p
-
-
 # ---------------------------------------------------------------------------
 # Modulus of continuity.
 # ---------------------------------------------------------------------------
-
-def modulus_of_continuity(values, delta, horizon, step):
-    """Largest oscillation over grid pairs closer than ``delta`` in time.
-
-    ``values`` is a single path sampled on a uniform grid of spacing
-    ``step``: shape ``(n_times,)`` for scalar paths or ``(n_times, d)``.
-    Pairs are restricted to times at most ``horizon``.
-    """
-    if not 0 < delta <= horizon:
-        raise ValueError("need 0 < delta <= horizon")
-    vals = np.asarray(values, dtype=float)
-    if vals.shape[0] < 1:
-        raise ValueError("empty grid")
-    last = int(np.floor(horizon / step * (1 + 1e-12)))
-    last = min(last, vals.shape[0] - 1)
-    vals = vals[:last + 1]
-    w = int(np.floor(delta / step * (1 + 1e-12)))
-    w = min(w, vals.shape[0] - 1)
-    if w == 0:
-        return 0.0
-    if vals.ndim == 1:
-        return float(_window_ranges(vals[None, :], [w])[0][0])
-    if vals.ndim == 2:
-        if w * vals.shape[0] > 2 ** 24:
-            raise ValueError("vector path too large for the pairwise scan")
-        best = 0.0
-        for off in range(1, w + 1):
-            gap = row_norm(vals[off:] - vals[:-off])
-            best = max(best, float(np.max(gap)))
-        return best
-    raise ValueError("values must be (n_times,) or (n_times, d)")
-
 
 def _window_ranges(vals, windows):
     """Max minus min over sliding windows of ``w + 1`` samples, per path.

@@ -53,10 +53,10 @@ class SkorokhodReport:
 
     containment_violation: max distance of the states to the domain closure.
     flatness_violation: regulator variation accrued while the state was
-        farther than ``boundary_tol`` from the boundary.
+        farther than ``tolerances.BOUNDARY_TOL`` from the boundary.
     direction_violation: worst violation of the inward-normal inequality
         ``<y - X_k, dK_k / |dK_k|> >= 0`` over sampled domain points, for
-        steps with ``|dK_k| > flat_tol`` (unit length scale).
+        steps with ``|dK_k| > tolerances.FLATNESS_TOL`` (unit length scale).
     decomposition_residual: max of ``|X_k - driver_k - K_k|``.
     """
 
@@ -123,8 +123,7 @@ def projected_euler(domain, coeffs, path, x0):
                                driver=driver)
 
 
-def verify_skorokhod(traj, driver=None, boundary_tol=tol.BOUNDARY_TOL,
-                     flat_tol=tol.FLATNESS_TOL, num_samples=1000, seed=7):
+def verify_skorokhod(traj, driver=None, num_samples=1000, seed=7):
     """Audit a trajectory against the Skorokhod-problem contract.
 
     ``driver`` defaults to the trajectory's stored driver. The variation
@@ -148,10 +147,10 @@ def verify_skorokhod(traj, driver=None, boundary_tol=tol.BOUNDARY_TOL,
     dk = np.diff(k_proc, axis=0)                      # (M, d)
     dk_norm = row_norm(dk)
     dvar = np.diff(traj.variation)
-    off_boundary = domain.boundary_distance(x[1:]) > boundary_tol
+    off_boundary = domain.boundary_distance(x[1:]) > tol.BOUNDARY_TOL
     flatness = float(np.sum(dvar[off_boundary]))
 
-    moving = dk_norm > flat_tol
+    moving = dk_norm > tol.FLATNESS_TOL
     direction = 0.0
     if np.any(moving):
         pts = sample_points(domain, num_samples, seed, interior=True)

@@ -1,14 +1,12 @@
 """Centralized numeric tolerances.
 
 Keeping them in one place makes the verification suite's thresholds
-auditable. Most are fixed: ``UNIT_VECTOR_TOL``, ``INTERIOR_MARGIN_FLOOR``,
-``ACTIVE_SET_RANK_RTOL`` and ``NORMAL_MIN_DIST`` (domain construction and
-``normal_at`` in ``geometry``), ``MEMBERSHIP_TOL`` (starting-point
-checks) and ``COEFFICIENT_SLACK`` (``check_linear_growth`` and
-``check_lipschitz``) are read where they are used, and no argument
-overrides them. ``BOUNDARY_TOL`` and ``FLATNESS_TOL`` are defaults:
-``reflected.verify_skorokhod`` accepts ``boundary_tol`` and ``flat_tol``
-in their place.
+auditable. All are fixed and read where they are used; no argument
+overrides them: ``UNIT_VECTOR_TOL``, ``INTERIOR_MARGIN_FLOOR`` and
+``ACTIVE_SET_RANK_RTOL`` (domain construction in ``geometry``),
+``BOUNDARY_TOL`` and ``FLATNESS_TOL`` (``reflected.verify_skorokhod``),
+``MEMBERSHIP_TOL`` (starting-point checks) and ``COEFFICIENT_SLACK``
+(``check_linear_growth`` and ``check_lipschitz``).
 """
 
 # Construction-time validation.
@@ -20,9 +18,6 @@ INTERIOR_MARGIN_FLOOR = 1e-8
 # sqrt(machine epsilon): past it the multipliers of the active set carry
 # relative rounding errors of order one, so the set's candidate is useless.
 ACTIVE_SET_RANK_RTOL = 1.5e-8
-
-# Inward normals are undefined closer to the domain than this.
-NORMAL_MIN_DIST = 1e-12
 
 # Skorokhod-contract verification.
 BOUNDARY_TOL = 1e-9

@@ -8,7 +8,6 @@ from scipy.stats import kstest
 from refsde.brownian import (
     BrownianPath,
     TimeGrid,
-    coarsen,
     halve_increments,
     sample_increments,
     sample_path,
@@ -22,16 +21,6 @@ def test_grid_requires_power_of_two():
         TimeGrid(-1.0, 4)
     g = TimeGrid.from_log2(2.0, 5)
     assert g.steps == 32 and g.step * g.steps == g.horizon
-
-
-def test_grid_times_and_coarsen():
-    g = TimeGrid(1.0, 8)
-    np.testing.assert_allclose(g.times(), np.arange(9) / 8.0)
-    assert g.coarsened(4).steps == 2
-    with pytest.raises(ValueError):
-        g.coarsened(3)
-    with pytest.raises(ValueError):
-        g.coarsened(16)
 
 
 def test_sampling_is_deterministic():
@@ -115,45 +104,13 @@ def test_increment_normality_flagged_not_failed():
                       f"critical value {critical:.2e}")
 
 
-def test_coarsen_identity_and_block_sums():
-    g = TimeGrid(1.0, 4)
-    p = BrownianPath(grid=g, increments=np.array(
-        [[1.0], [2.0], [3.0], [4.0]]), master_seed=0, path_index=0)
-    assert coarsen(p, 1) is p
-    np.testing.assert_array_equal(coarsen(p, 2).increments, [[3.0], [7.0]])
-    with pytest.raises(ValueError):
-        coarsen(p, 3)
-    with pytest.raises(ValueError):
-        coarsen(p, 8)
-
-
 def test_coarsen_composes_bitwise():
     g = TimeGrid(1.0, 256)
-    p = sample_path(g, 5, 1, dim=3)
-    twice = coarsen(coarsen(p, 2), 2)
-    once = coarsen(p, 4)
-    np.testing.assert_array_equal(twice.increments, once.increments)
-    assert once.grid.steps == 64
-    assert once.master_seed == p.master_seed and once.path_index == p.path_index
-
-
-def test_partial_sums_shared_times_exact():
-    g = TimeGrid(1.0, 512)
-    p = sample_path(g, 31, 4, dim=2)
-    fine_vals = p.values()
-    assert np.all(fine_vals[0] == 0.0)
-    for factor in (2, 8, 64):
-        coarse_vals = coarsen(p, factor).values()
-        np.testing.assert_array_equal(fine_vals[::factor], coarse_vals)
-
-
-def test_values_against_plain_cumsum():
-    # The tree order differs from a running sum only by rounding.
-    g = TimeGrid(1.0, 256)
-    p = sample_path(g, 12, 0)
-    plain = np.concatenate([np.zeros((1, 1)),
-                            np.cumsum(p.increments, axis=0)])
-    np.testing.assert_allclose(p.values(), plain, atol=1e-13)
+    x = sample_path(g, 5, 1, dim=3).increments
+    twice = halve_increments(halve_increments(x, 2), 2)
+    once = halve_increments(x, 4)
+    assert once.shape == (64, 3)
+    assert twice.tobytes() == once.tobytes()
 
 
 def test_halve_increments_batched():

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from oracle import ball_project
 
 from refsde import geometry
 from refsde.geometry import (
@@ -11,7 +12,6 @@ from refsde.geometry import (
     Ball,
     Box,
     HalfLine,
-    NormalDirection,
     Polyhedron,
     domain_from_spec,
     row_norm,
@@ -273,11 +273,6 @@ def test_dimension_mismatch_raises():
         HalfLine(0.0).distance(np.array([1.0, 2.0]))
 
 
-def test_normal_direction_validates_unit_length():
-    with pytest.raises(ValueError):
-        NormalDirection(vector=np.array([1.0, 1.0]), anchor=np.zeros(2))
-
-
 # -- contains --------------------------------------------------------------
 
 def test_contains_examples():
@@ -302,6 +297,29 @@ def test_project_halfline():
 def test_project_ball_radial():
     got = Ball(center=[0.0, 0.0], radius=1.0).project(np.array([2.0, 0.0]))
     np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-15)
+
+
+# The offsets (3, -4) and (-2, 3, 6) have the integer lengths 5 and 7, and
+# the dyadic centres add and subtract exactly, so those points lie exactly
+# on the sphere.
+@pytest.mark.parametrize("center, radius, on_sphere, shape", [
+    ([0.5, -0.25], 5.0, [3.0, -4.0], (9, 400, 2)),
+    ([0.5, -0.25, 1.75], 7.0, [-2.0, 3.0, 6.0], (400, 3)),
+])
+def test_ball_projection_by_columns_matches_broadcast_bitwise(
+        center, radius, on_sphere, shape):
+    ball = Ball(center=center, radius=radius)
+    rng = np.random.default_rng(8)
+    x = ball.center + rng.uniform(-2.0 * radius, 2.0 * radius, shape)
+    flat = x.reshape(-1, ball.dim)
+    flat[::7] = ball.center + np.array(on_sphere)
+    assert ball.project(x).tobytes() == ball_project(ball, x).tobytes()
+    r = row_norm(flat - ball.center)
+    for where in (r < radius, r == radius, r > radius):
+        point = flat[np.argmax(where)]
+        assert where.any() and point.shape == (ball.dim,)
+        assert ball.project(point).tobytes() == \
+            ball_project(ball, point).tobytes()
 
 
 def test_project_quadrant_corner_against_grid_search():
@@ -427,34 +445,6 @@ def test_dist_against_single_halfspace_formula():
     pts = rng.standard_normal((2000, 2)) * 3.0
     direct = np.maximum(pts @ a - 1.0, 0.0)
     np.testing.assert_allclose(dom.distance(pts), direct, atol=1e-12)
-
-
-# -- normal_at ---------------------------------------------------------------
-
-def test_normal_halfline():
-    n = HalfLine(0.0).normal_at(np.array([-2.0]))
-    assert n.vector[0] == 1.0
-    assert n.anchor[0] == 0.0
-
-
-def test_normal_ball():
-    n = Ball(center=[0.0, 0.0], radius=1.0).normal_at(np.array([0.0, 3.0]))
-    np.testing.assert_allclose(n.vector, [0.0, -1.0], atol=1e-15)
-    np.testing.assert_allclose(n.anchor, [0.0, 1.0], atol=1e-15)
-
-
-def test_normal_quadrant_corner_supports_whole_domain():
-    n = quadrant().normal_at(np.array([-1.0, -1.0]))
-    np.testing.assert_allclose(n.vector, [SQ2, SQ2], atol=1e-12)
-    rng = np.random.default_rng(5)
-    y = np.abs(rng.standard_normal((10_000, 2))) * 3.0
-    inner = (y - n.anchor) @ n.vector
-    assert inner.min() >= -1e-12
-
-
-def test_normal_rejects_interior_point():
-    with pytest.raises(ValueError, match="normal"):
-        Ball(center=[0.0, 0.0], radius=1.0).normal_at(np.array([0.1, 0.0]))
 
 
 # -- variational properties ---------------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from oracle import penalized_loop
+from oracle import coarsen, penalized_loop
 
-from refsde.brownian import TimeGrid, coarsen, sample_increments, sample_path
+from refsde.brownian import TimeGrid, sample_increments, sample_path
 from refsde.coefficients import CoefficientField, make_coefficients
 from refsde.errors import IntegrationError
 from refsde.geometry import Ball, HalfLine, Polyhedron

@@ -4,10 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
-from oracle import penalized_loop, reference_loop
+from oracle import coarsen, penalized_loop, reference_loop
 
-from refsde.brownian import (TimeGrid, coarsen, halve_increments,
-                             sample_increments, sample_path)
+from refsde.brownian import (TimeGrid, halve_increments, sample_increments,
+                             sample_path)
 from refsde.coefficients import CoefficientField, make_coefficients
 from refsde.errors import IntegrationError
 from refsde.geometry import Ball, Box, HalfLine, Polyhedron, row_norm
@@ -18,8 +18,6 @@ from refsde.rates import (
     ErrorTable,
     brownian_modulus_table,
     fit_rate,
-    lp_sup_error,
-    modulus_of_continuity,
     monotone_decreasing,
     strong_error_sweep,
     weak_compare,
@@ -107,34 +105,6 @@ def test_monotone_decreasing_with_slack():
 
 # -- pathwise error -------------------------------------------------------------
 
-def test_lp_sup_error_basics():
-    grid = TimeGrid(1.0, 8)
-    path = sample_path(grid, 0, 0)
-    dom = HalfLine(0.0)
-    traj = splitting_penalized(dom, make_coefficients("ou1d"), path,
-                               np.array([0.5]), 32.0)
-    ref = projected_euler(dom, make_coefficients("ou1d"), path,
-                          np.array([0.5]))
-    assert lp_sup_error(traj, traj, 2.0) == 0.0
-    a = lp_sup_error(ref, traj, 3.0)
-    assert a == lp_sup_error(traj, ref, 3.0) > 0.0
-    with pytest.raises(ValueError, match="grid"):
-        other = splitting_penalized(dom, make_coefficients("ou1d"),
-                                    sample_path(TimeGrid(1.0, 4), 0, 0),
-                                    np.array([0.5]), 32.0)
-        lp_sup_error(ref, other, 2.0)
-
-
-def test_lp_sup_error_constant_offset():
-    grid = TimeGrid(1.0, 4)
-    base = projected_euler(HalfLine(0.0), zero_field(1),
-                           sample_path(grid, 0, 0), np.array([1.0]))
-    shifted = splitting_penalized(HalfLine(0.0), zero_field(1),
-                                  sample_path(grid, 0, 0),
-                                  np.array([1.5]), 2.0)
-    assert lp_sup_error(base, shifted, 3.0) == pytest.approx(0.125)
-
-
 def test_sup_norm_triangle_inequality():
     rng = np.random.default_rng(2)
     a, b, c = rng.standard_normal((3, 65, 2))
@@ -144,52 +114,34 @@ def test_sup_norm_triangle_inequality():
 
 # -- modulus of continuity -------------------------------------------------------
 
+# Windows of 2 and 4 samples fill the sparse table exactly (rem == 0); the
+# other three need a second, overlapping lookup (rem != 0).
+WINDOWS = [1, 3, 17, 64, 128]
+
+
+def naive_window_ranges(vals, windows):
+    """Largest |v[t + k] - v[t]| over 1 <= k <= w, per path."""
+    return [np.max([np.max(np.abs(vals[:, k:] - vals[:, :-k]), axis=1)
+                    for k in range(1, w + 1)], axis=0)
+            for w in windows]
+
+
 def test_modulus_constant_and_linear():
-    vals = np.full(101, 3.25)
-    assert modulus_of_continuity(vals, 0.1, 1.0, 0.01) == 0.0
-    line = np.arange(101) * 0.01
-    assert modulus_of_continuity(line, 0.1, 1.0, 0.01) == pytest.approx(
-        0.1, abs=1e-12)
+    const = np.full((2, 129), 3.25)
+    for got in rates._window_ranges(const, WINDOWS):
+        assert np.all(got == 0.0)
+    line = np.arange(129) * 0.25  # exact in binary
+    for w, got in zip(WINDOWS, rates._window_ranges(line[None, :], WINDOWS)):
+        assert got.tolist() == [0.25 * w]
 
 
 def test_modulus_against_naive_scan():
     rng = np.random.default_rng(4)
-    vals = rng.standard_normal(129).cumsum()
-    h = 1.0 / 128.0
-    for delta in (h, 3 * h, 17 * h, 0.5, 1.0):
-        naive = 0.0
-        w = int(np.floor(delta / h + 1e-9))
-        for off in range(1, w + 1):
-            naive = max(naive, float(np.max(np.abs(vals[off:] - vals[:-off]))))
-        assert modulus_of_continuity(vals, delta, 1.0, h) == pytest.approx(
-            naive, abs=0.0)
-
-
-def test_modulus_vector_paths_and_validation():
-    rng = np.random.default_rng(5)
-    vals = rng.standard_normal((65, 2)).cumsum(axis=0)
-    h = 1.0 / 64.0
-    w = 8
-    naive = max(
-        float(np.max(np.linalg.norm(vals[off:] - vals[:-off], axis=-1)))
-        for off in range(1, w + 1))
-    got = modulus_of_continuity(vals, w * h, 1.0, h)
-    assert got == pytest.approx(naive, abs=0.0)
-    with pytest.raises(ValueError):
-        modulus_of_continuity(vals, 0.0, 1.0, h)
-    with pytest.raises(ValueError):
-        modulus_of_continuity(vals, 2.0, 1.0, h)
-
-
-def test_modulus_restricts_to_horizon():
-    # Quadratic path: oscillations grow with time, so capping the horizon
-    # changes the answer.
-    t = np.arange(101) * 0.01
-    vals = t ** 2
-    capped = modulus_of_continuity(vals, 0.25, 0.5, 0.01)
-    assert capped == pytest.approx(0.5 ** 2 - 0.25 ** 2, abs=1e-12)
-    full = modulus_of_continuity(vals, 0.25, 1.0, 0.01)
-    assert full == pytest.approx(1.0 - 0.75 ** 2, abs=1e-12)
+    vals = rng.standard_normal((3, 129)).cumsum(axis=1)
+    got = rates._window_ranges(vals, WINDOWS)
+    want = naive_window_ranges(vals, WINDOWS)
+    for g, w in zip(got, want):
+        assert g.shape == (3,) and np.all(g == w)
 
 
 def test_brownian_modulus_slope_smoke():
