@@ -70,10 +70,6 @@ class BrownianPath:
             raise ValueError("increments must have shape (steps, dim)")
         object.__setattr__(self, "increments", inc)
 
-    @property
-    def dim(self):
-        return self.increments.shape[1]
-
 
 def sample_path(grid, master_seed, path_index, dim=1):
     """Generate one Brownian path; N(0, h) increments, reproducible bitwise."""

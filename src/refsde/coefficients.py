@@ -1,12 +1,15 @@
-"""Drift/diffusion coefficient pairs, a small named catalog, and
-sampling-based diagnostics for linear growth and Lipschitz continuity.
+"""Drift/diffusion coefficient pairs, a small named catalog, the Euler
+update they drive, and sampling-based diagnostics for linear growth and
+Lipschitz continuity.
 
-A coefficient field packages two pure callables: ``diffusion(t, x)``
-returning a d x d matrix and ``drift(t, x)`` returning a d-vector. Both
-must broadcast over leading batch axes of ``x`` (shape ``(..., d)``); a
-state-independent diffusion may return a constant ``(d, d)`` array, and a
-state-independent drift a constant ``(d,)`` array, which the steppers
-broadcast. Matrix size is measured in the Frobenius norm throughout.
+A coefficient field packages two pure callables that return coordinate
+entries: ``diffusion(t, x)`` returns sigma as d rows of d entries, and
+``drift(t, x)`` returns d entries. Each entry is a float or an array that
+broadcasts against ``x[..., 0]``, for ``x`` of shape ``(..., d)``.
+``euler_update`` is the step path's only reader of this format: it sums
+``x + sigma dW + h b`` per output coordinate, with no ``(..., d, d)``
+matrix. The diagnostics assemble the matrix and measure its size in the
+Frobenius norm.
 
 The growth/Lipschitz checks certify declared constants on a sampled box
 only; the hypotheses themselves are global and the coefficients are opaque
@@ -28,6 +31,7 @@ __all__ = [
     "GrowthReport",
     "LipschitzReport",
     "make_coefficients",
+    "euler_update",
     "check_linear_growth",
     "check_lipschitz",
 ]
@@ -72,53 +76,39 @@ class LipschitzReport:
 # ---------------------------------------------------------------------------
 
 def _ou_diffusion(sigma0, t, x):
-    return np.array([[sigma0]])
+    return ((sigma0,),)
 
 
 def _ou_drift(kappa, t, x):
-    return -kappa * x
+    return (-kappa * x[..., 0],)
 
 
 def _clipped_diag_diffusion(sigma0, cap, t, x):
+    diag = sigma0 * np.clip(x, -cap, cap)
     d = x.shape[-1]
-    out = np.zeros(x.shape + (d,))
-    rng = np.arange(d)
-    out[..., rng, rng] = sigma0 * np.clip(x, -cap, cap)
-    return out
+    return tuple(tuple(diag[..., i] if i == j else 0.0 for j in range(d))
+                 for i in range(d))
 
 
 def _linear_drift(mu, t, x):
-    return mu * x
+    return tuple(mu * x[..., i] for i in range(x.shape[-1]))
 
 
 def _sin_coupled_diffusion(amplitude, t, x):
-    out = np.zeros(x.shape + (2,))
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-    out[..., 0, 1] = amplitude * np.sin(x[..., 1])
-    out[..., 1, 0] = amplitude * np.sin(x[..., 0])
-    return out
+    return ((1.0, amplitude * np.sin(x[..., 1])),
+            (amplitude * np.sin(x[..., 0]), 1.0))
 
 
 def _cos_drift(scale, t, x):
-    out = np.empty_like(x)
-    out[..., 0] = scale * np.cos(x[..., 1])
-    out[..., 1] = scale * np.cos(x[..., 0])
-    return out
+    return (scale * np.cos(x[..., 1]), scale * np.cos(x[..., 0]))
 
 
 def _two_level_diffusion(low, high, threshold, t, x):
-    return np.where(x < threshold, low, high)[..., None]
-
-
-_ZERO_DRIFT = np.zeros(1)
-_ZERO_DRIFT.flags.writeable = False
+    return ((np.where(x[..., 0] < threshold, low, high),),)
 
 
 def _zero_drift(t, x):
-    # One shared read-only array: adding a broadcast 0.0 gives the same
-    # bits as adding a zero array of the state's shape.
-    return _ZERO_DRIFT
+    return (0.0,)
 
 
 def _build_ou1d(kappa=1.0, sigma0=1.0):
@@ -188,16 +178,39 @@ def make_coefficients(name, **params):
     return build(**params)
 
 
+def euler_update(field_, t, x, dw, h, base=None):
+    """``base + sigma(t, x) dw + h b(t, x)``, one output coordinate at a time.
+
+    Coordinate i is ``(base_i + m_i) + h b_i``, or ``m_i + h b_i`` without
+    ``base``, with ``m_i = sigma_i0 dw_0 + sigma_i1 dw_1 + ...`` in j order.
+    Zero and unit entries stay multiplied, so the bits are the broadcast
+    matrix expression's. For d = 1 the result is a view of the one column.
+    """
+    b = field_.drift(t, x)
+    cols = []
+    for i, row in enumerate(field_.diffusion(t, x)):
+        m = row[0] * dw[..., 0]
+        for j in range(1, len(row)):
+            m = m + row[j] * dw[..., j]
+        if base is not None:
+            m = base[..., i] + m
+        cols.append(m + h * b[i])
+    return cols[0][..., None] if len(cols) == 1 else np.stack(cols, axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Sampled-hypothesis diagnostics.
 # ---------------------------------------------------------------------------
 
 def _eval_field(field_, t, x):
-    sig = np.asarray(field_.diffusion(t, x), dtype=float)
-    b = np.asarray(field_.drift(t, x), dtype=float)
+    """Sigma as a ``(..., d, d)`` array and the drift as ``(..., d)``."""
     d = field_.dim
-    sig = np.broadcast_to(sig, x.shape + (d,))
-    b = np.broadcast_to(b, x.shape)
+    sig, b = np.empty(x.shape + (d,)), np.empty(x.shape)
+    rows, drift = field_.diffusion(t, x), field_.drift(t, x)
+    for i in range(d):
+        b[..., i] = drift[i]
+        for j in range(d):
+            sig[..., i, j] = rows[i][j]
     if not np.all(np.isfinite(sig)) or not np.all(np.isfinite(b)):
         bad = np.argmax(~(np.all(np.isfinite(sig), axis=(-2, -1))
                           & np.all(np.isfinite(b), axis=-1)))

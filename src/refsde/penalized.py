@@ -16,6 +16,8 @@ Both return the trajectory together with the accumulated penalty process
 (the running integral of the penalty drift) and the sup of the distance to
 the domain along the path. Step kernels are shape-agnostic over leading
 batch axes, and ``level`` may be an array that broadcasts against them.
+Their part ``x + sigma dW + h b`` is ``coefficients.euler_update``, summed
+per coordinate from the field's entries with no ``(..., d, d)`` matrix.
 The one step loop, ``rates._lockstep``, drives them: the sweeps with a
 ``(levels, paths, d)`` array, the per-path functions here with one level
 and one path, whose run they record.
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import TimeGrid
+from .coefficients import euler_update
 
 __all__ = [
     "PenalizedTrajectory",
@@ -44,25 +47,13 @@ class PenalizedTrajectory:
     level: float
 
 
-def _matvec(sigma, vec):
-    """``sigma @ vec`` over broadcast leading axes, one column at a time.
-
-    Much cheaper than a broadcast ``einsum`` over tiny trailing axes; each
-    row sums in column order, so the result does not depend on the batch.
-    """
-    out = sigma[..., :, 0] * vec[..., None, 0]
-    for j in range(1, vec.shape[-1]):
-        out = out + sigma[..., :, j] * vec[..., None, j]
-    return out
-
-
 def euler_step(domain, coeffs, t, x, dw, h, level, *, penalty=True):
     """One explicit step; returns (next state, penalty increment).
 
     With ``penalty=False`` the increment is not computed and is None.
     """
     pen = (level * h) * (x - domain.project(x))
-    x_next = x + _matvec(coeffs.diffusion(t, x), dw) + h * coeffs.drift(t, x) - pen
+    x_next = euler_update(coeffs, t, x, dw, h, base=x) - pen
     return x_next, -pen if penalty else None
 
 
@@ -78,7 +69,7 @@ def splitting_step(domain, coeffs, t, x, dw, h, level, *, decay=None,
     that factor, ``np.exp(-level * h)``, when the caller has it already;
     with ``penalty=False`` the increment is not computed and is None.
     """
-    y = x + _matvec(coeffs.diffusion(t, x), dw) + h * coeffs.drift(t, x)
+    y = euler_update(coeffs, t, x, dw, h, base=x)
     p = domain.project(y)
     if decay is None:
         decay = np.exp(-level * h)
@@ -102,7 +93,7 @@ def _record(domain, coeffs, path, x0, level, scheme):
     inc = path.increments[:, None]
     run = [(x[0, 0], dk[0, 0]) for x, dk, _, _ in _lockstep(
         domain, coeffs, x0, path.grid, [level], 1, scheme, None,
-        [(inc, inc)], penalties=True)]
+        [(inc, inc)], increments=True)]
     states, dk = map(np.array, zip(*run))
     # Summed from the zero first row, as 0.0 + dk: the -0.0 increments of
     # steps inside the domain accumulate to +0.0, not -0.0.

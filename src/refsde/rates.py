@@ -249,7 +249,7 @@ class WeakRow:
 
 
 def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
-              blocks, *, penalties=False):
+              blocks, *, increments=False):
     """The one step loop: advance the levels and the reference in lockstep.
 
     One kernel call per grid step advances the ``(L, P, d)`` states of all
@@ -264,19 +264,18 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     the step's penalty increments, and the reference state (None without
     one) with its driver increment over the step. At time 0 the increments
     are the initial values, 0 and ``x0``, so their running sums are the
-    penalty and the driver. The penalty increments are computed only with
-    ``penalties=True``, which the per-path recorders set; otherwise ``dk``
-    is None.
+    penalty and the driver. The increments are computed only with
+    ``increments=True``, which the per-path recorders set; otherwise ``dk``
+    and ``dy`` are None.
 
-    Per grid step this computes the kernel's new states and, if asked, its
-    penalty increments; the reference's sub-steps and their summed driver
-    increment; and one guard per state array. The splitting scheme's decay
-    ``exp(-n h)`` is computed once per sweep, with the kernel's own numpy
-    call on the same ``(L, 1, 1)`` array, so it has the bits a per-step
-    evaluation had. A non-finite state raises ``IntegrationError`` naming
-    its step and path; each guard is one reduction over the whole array,
-    and the exact test and the offending row's lookup run only when that
-    reduction is not finite.
+    Per grid step this computes the kernel's new states, the reference's
+    sub-steps, the asked-for increments and one guard per state array. The
+    splitting scheme's decay ``exp(-n h)`` is computed once per sweep, with
+    the kernel's own numpy call on the same ``(L, 1, 1)`` array, so it has
+    the bits a per-step evaluation had. A non-finite state raises
+    ``IntegrationError`` naming its step and path; each guard is one
+    reduction over the whole array, and the exact test and the offending
+    row's lookup run only when that reduction is not finite.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.dim,):
@@ -291,7 +290,7 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
         raise ValueError("levels must be nonempty and strictly increasing")
     h = grid.step
     level = np.array(levels)[:, None, None]
-    kw = {"penalty": penalties}
+    kw = {"penalty": increments}
     if scheme == "euler":
         bad = [n for n in levels if n * h > 1.0 + 1e-12]
         if bad:
@@ -317,7 +316,7 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     x = np.broadcast_to(x0, (len(levels), num_paths, d)).copy()
     x_ref = (None if ref_steps is None
              else np.broadcast_to(x0, (num_paths, d)).copy())
-    dk, dy = np.zeros_like(x) if penalties else None, x_ref
+    dk, dy = (np.zeros_like(x), x_ref) if increments else (None, None)
     yield x, dk, x_ref, dy
     k = 0
     for inc, inc_ref in blocks:
@@ -338,7 +337,8 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
                             f"path {pi}",
                             step_index=s, path_index=pi,
                         )
-                    dy = dy_j if j == 0 else dy + dy_j
+                    if increments:
+                        dy = dy_j if j == 0 else dy + dy_j
             if levels:
                 x, dk = step(domain, coeffs, t, x, inc[i], h, level, **kw)
                 if not _all_finite(x):

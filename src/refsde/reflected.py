@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .brownian import TimeGrid
+from .coefficients import euler_update
 from .geometry import ConvexDomain, HalfLine, row_norm, sample_points
-from .penalized import _matvec
 from . import tolerances as tol
 
 __all__ = [
@@ -95,7 +95,7 @@ def skorokhod_map_halfline(driver, lower_bound, grid=None):
 
 def projected_euler_step(domain, coeffs, t, x, dw, h):
     """One projected Euler update; returns (next state, driver increment)."""
-    dy = _matvec(coeffs.diffusion(t, x), dw) + h * coeffs.drift(t, x)
+    dy = euler_update(coeffs, t, x, dw, h)
     return domain.project(x + dy), dy
 
 
@@ -112,7 +112,7 @@ def projected_euler(domain, coeffs, path, x0):
     # No levels, so the scheme is never used.
     run = [(x[0], dy[0]) for _, _, x, dy in _lockstep(
         domain, coeffs, x0, path.grid, [], 1, "splitting", path.grid.steps,
-        [(inc, inc)])]
+        [(inc, inc)], increments=True)]
     states, dy = map(np.array, zip(*run))
     driver = np.cumsum(dy, axis=0)
     dk = states[1:] - (states[:-1] + dy[1:])

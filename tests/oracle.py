@@ -6,7 +6,10 @@ sweeps and the per-path integrators run through it. ``penalized_loop`` and
 level, one grid step at a time, and accumulate each field step by step as it
 is defined. They do not guard against non-finite states. ``coarsen`` restricts
 a path to a coarser grid, and ``ball_project`` is the ball projection as one
-broadcast over the last axis.
+broadcast over the last axis. ``field_arrays`` assembles a field's entries
+into a ``(..., d, d)`` diffusion matrix and a ``(..., d)`` drift, and
+``matrix_update`` is the Euler update as the broadcast matrix expression
+``x + sigma @ dw + h b``, whose bits ``coefficients.euler_update`` must keep.
 """
 
 import numpy as np
@@ -70,3 +73,28 @@ def ball_project(ball, x):
     safe_r = np.where(outside, r, 1.0)
     scaled = ball.center + delta * (ball.radius / safe_r)[..., None]
     return np.where(outside[..., None], scaled, x)
+
+
+def field_arrays(field, t, x):
+    """The diffusion as ``(..., d, d)`` and the drift as ``(..., d)``."""
+    batch = np.shape(x)[:-1]
+    sigma = np.array([[np.broadcast_to(e, batch) for e in row]
+                      for row in field.diffusion(t, x)], dtype=float)
+    drift = np.array([np.broadcast_to(e, batch) for e in field.drift(t, x)],
+                     dtype=float)
+    return np.moveaxis(sigma, (0, 1), (-2, -1)), np.moveaxis(drift, 0, -1)
+
+
+def matvec(sigma, vec):
+    """``sigma @ vec`` over broadcast leading axes, one column at a time."""
+    out = sigma[..., :, 0] * vec[..., None, 0]
+    for j in range(1, vec.shape[-1]):
+        out = out + sigma[..., :, j] * vec[..., None, j]
+    return out
+
+
+def matrix_update(field, t, x, dw, h, base=None):
+    """``base + sigma dw + h b`` through the matrix, or ``sigma dw + h b``."""
+    sigma, drift = field_arrays(field, t, x)
+    m = matvec(sigma, dw)
+    return (m if base is None else base + m) + h * drift

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 
 import refsde
 from refsde.cli import load_config, main, parse_config, run
+from refsde.coefficients import check_linear_growth, check_lipschitz, \
+    make_coefficients
 from refsde.errors import ConfigError
 
 
@@ -273,6 +276,49 @@ def test_validate_run(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert {"linear_growth", "lipschitz", "projection_idempotent"} <= names
     assert (out / "manifest.json").exists()
+
+
+
+# Each catalog entry on a domain of its dimension: the sha256 of its
+# validation_report.json and the exact growth and Lipschitz maxima at seed 7,
+# as they were while the coefficients returned (..., d, d) matrices. The
+# diagnostics now assemble that matrix from the entries.
+VALIDATE_PINS = {
+    "ou1d": ({"type": "halfline", "lower": 0.0}, [0.5],
+             "22e86791d7da9a64f1580d5645a8af23c146b4febdcdfbf3e2bbe371519739ef",
+             "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    "gbm-box": ({"type": "box", "lower": [0.0, 0.0], "upper": [2.0, 2.0]},
+                [1.0, 1.0],
+                "2c84f5242b418a02f85f9c0eb6adf1c27a777ce13c7daa60cade7cd4d610488c",
+                "0x1.78ee838fc5966p-4", "0x1.7ae147af5ae59p-4"),
+    "quadrant2d": ({"type": "polyhedron", "normals": [[-1.0, 0.0],
+                                                      [0.0, -1.0]],
+                    "offsets": [0.0, 0.0]}, [0.0, 0.0],
+                   "778071a2c01f4ab78e1ce5cd796c5f0b73b189fc2b647305e084427880aa2502",
+                   "0x1.3db40f6d5ed7ap+1", "0x1.fffb8b08dcd38p-3"),
+    "schmidt1d": ({"type": "box", "lower": [0.0], "upper": [2.0]}, [1.0],
+                  "33f73be78d465851b094784a0e8c64f177f87ae608f825195bc9690674a3a20f",
+                  "0x1.ff95795ab24ccp+0", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_PINS))
+def test_validate_report_bytes_are_pinned(tmp_path, name):
+    domain, x0, digest, growth, lipschitz = VALIDATE_PINS[name]
+    cfg = {"domain": domain, "coefficients": {"name": name}, "x0": x0,
+           "horizon_T": 1.0, "log2_fine_steps": 8, "master_seed": 7,
+           "num_paths": 4}
+    out = tmp_path / "out"
+    assert main(["validate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    data = (out / "validation_report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    field = make_coefficients(name)
+    rep = check_linear_growth(field, field.growth_constant, rng_seed=7)
+    assert rep.max_ratio.hex() == growth
+    if lipschitz is not None:
+        rep = check_lipschitz(field, field.lipschitz_constant, rng_seed=7)
+        assert rep.max_quotient.hex() == lipschitz
 
 
 def test_dist_rate_artifacts(tmp_path):

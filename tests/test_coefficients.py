@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from oracle import field_arrays, matrix_update
 
 from refsde.coefficients import (
     CATALOG,
     CoefficientField,
     check_linear_growth,
     check_lipschitz,
+    euler_update,
     make_coefficients,
 )
 
@@ -13,8 +15,8 @@ from refsde.coefficients import (
 def field_1d(sigma_fn, drift_fn, name="test"):
     return CoefficientField(
         name=name, dim=1,
-        diffusion=lambda t, x: sigma_fn(x)[..., None],
-        drift=lambda t, x: drift_fn(x),
+        diffusion=lambda t, x: ((sigma_fn(x[..., 0]),),),
+        drift=lambda t, x: (drift_fn(x[..., 0]),),
     )
 
 
@@ -88,9 +90,15 @@ def test_catalog_names_and_dims():
     for name in CATALOG:
         field = make_coefficients(name)
         assert field.name == name
-        x = np.ones((3, field.dim))
-        assert np.shape(field.drift(0.0, x))[-1:] == (field.dim,)
-        assert np.shape(field.diffusion(0.0, x))[-2:] == (field.dim,) * 2
+        # d rows of d entries and d drift entries, each a float or an array
+        # that broadcasts against x[..., 0].
+        x = np.ones((3, 5, field.dim))
+        sigma, drift = field.diffusion(0.0, x), field.drift(0.0, x)
+        assert len(sigma) == len(drift) == field.dim
+        for entry in drift + sum(sigma, ()):
+            assert isinstance(entry, (float, np.ndarray))
+            assert np.broadcast_shapes(np.shape(entry), (3, 5)) == (3, 5)
+        assert all(len(row) == field.dim for row in sigma)
         assert field.growth_constant is not None
 
 
@@ -125,25 +133,28 @@ def test_schmidt_is_discontinuous():
 def test_schmidt_levels():
     field = make_coefficients("schmidt1d")
     x = np.array([[0.5], [1.0], [1.5]])
-    sig = field.diffusion(0.0, x)
-    np.testing.assert_array_equal(sig[:, 0, 0], [1.0, 2.0, 2.0])
-    # The drift is a constant (1,) zero that the steppers broadcast.
-    np.testing.assert_array_equal(
-        np.broadcast_to(field.drift(0.0, x), x.shape), np.zeros((3, 1)))
+    ((sig,),) = field.diffusion(0.0, x)
+    np.testing.assert_array_equal(sig, [1.0, 2.0, 2.0])
+    # The drift is the constant entry 0.0, which broadcasts.
+    assert field.drift(0.0, x) == (0.0,)
 
 
 def test_schmidt_drift_is_one_shared_read_only_zero():
     field = make_coefficients("schmidt1d")
     a = field.drift(0.0, np.zeros((5, 1)))
     b = field.drift(0.7, np.ones((2, 3, 1)))
-    assert a is b
-    assert a.shape == (1,) and not a.flags.writeable and not np.any(a)
+    # An immutable float entry: no array is allocated per call.
+    assert a == b == (0.0,) and type(a[0]) is float
     assert check_linear_growth(field, field.growth_constant).passed
-    # Adding the broadcast constant gives the bits of a zero array.
-    x = np.random.default_rng(2).standard_normal((4, 7, 1))
-    np.testing.assert_array_equal(
-        (x + 0.01 * b).view(np.uint64),
-        (x + 0.01 * np.zeros_like(x)).view(np.uint64))
+    # Adding h * 0.0 gives the bits of adding a zero array, -0.0 sums too.
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((4, 7, 1))
+    dw = rng.standard_normal((4, 7, 1))
+    x[0], dw[0] = -0.0, -0.0
+    sigma = field.diffusion(0.0, x)[0][0][..., None]
+    want = x + sigma * dw + 0.01 * np.zeros_like(x)
+    got = euler_update(field, 0.0, x, dw, 0.01, base=x)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # Each entry's parameters and defaults, as its builder's signature states.
@@ -158,8 +169,7 @@ CATALOG_PARAMETERS = {
 def evaluate(field):
     """Diffusion and drift on a fixed spread of points, full shape."""
     x = np.linspace(-30.0, 30.0, 61 * field.dim).reshape(61, field.dim)
-    return (np.broadcast_to(field.diffusion(0.0, x), x.shape + (field.dim,)),
-            np.broadcast_to(field.drift(0.0, x), x.shape))
+    return field_arrays(field, 0.0, x)
 
 
 def test_catalog_parameter_overrides():
@@ -191,3 +201,41 @@ def test_diagnostics_validate_inputs():
         check_linear_growth(f, -1.0)
     with pytest.raises(ValueError):
         check_lipschitz(f, 1.0, samples=0)
+
+
+# -- Euler update -------------------------------------------------------------
+
+def _states(rng, shape):
+    """Normal states with +0.0, -0.0, the schmidt1d threshold 1.0 and the
+    gbm-box caps +-10.0 planted among them."""
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    for value in (0.0, -0.0, 1.0, 10.0, -10.0):
+        flat[rng.integers(0, flat.size, flat.size // 8)] = value
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_euler_update_matches_matrix_expression_bitwise(name):
+    # The per-coordinate sums against the broadcast matrix expression on the
+    # matrix assembled from the same entries, with and without a base: the
+    # sweep's (L, P, d) states with (P, d) increments, the reference's (P, d)
+    # batch, and (d,) points as the per-path kernels step them.
+    field = make_coefficients(name)
+    d = field.dim
+    rng = np.random.default_rng(len(name))
+    x, dw = _states(rng, (9, 400, d)), _states(rng, (400, d)) * 0.03
+    cases = [(x, dw), (x[0], dw)] + list(zip(x[1, :40], dw[:40]))
+    for x, dw in cases:
+        for base in (None, x):
+            got = euler_update(field, 0.3, x, dw, 2.0 ** -12, base=base)
+            want = matrix_update(field, 0.3, x, dw, 2.0 ** -12, base=base)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (x.shape, base is None)
+
+
+def test_euler_update_is_a_view_for_one_coordinate():
+    field = make_coefficients("ou1d")
+    x = np.ones((3, 4, 1))
+    got = euler_update(field, 0.0, x, np.ones((4, 1)), 0.5, base=x)
+    assert got.shape == (3, 4, 1) and got.base is not None

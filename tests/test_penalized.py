@@ -3,11 +3,11 @@ import pytest
 from oracle import coarsen, penalized_loop
 
 from refsde.brownian import TimeGrid, sample_increments, sample_path
-from refsde.coefficients import CoefficientField, make_coefficients
+from refsde.coefficients import CoefficientField, euler_update, \
+    make_coefficients
 from refsde.errors import IntegrationError
 from refsde.geometry import Ball, HalfLine, Polyhedron
 from refsde.penalized import (
-    _matvec,
     euler_penalized,
     euler_step,
     splitting_penalized,
@@ -18,26 +18,38 @@ from refsde.penalized import (
 def zero_field(dim):
     return CoefficientField(
         name="zero", dim=dim,
-        diffusion=lambda t, x: np.zeros((dim, dim)),
-        drift=lambda t, x: np.zeros_like(x))
+        diffusion=lambda t, x: ((0.0,) * dim,) * dim,
+        drift=lambda t, x: (0.0,) * dim)
 
 
 def quadrant():
     return Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]], offsets=[0.0, 0.0])
 
 
+def dense_field(sigma, drift):
+    """A field whose entries are the coordinates of fixed arrays."""
+    d = sigma.shape[-1]
+    return CoefficientField(
+        name="dense", dim=d,
+        diffusion=lambda t, x: tuple(tuple(sigma[..., i, j] for j in range(d))
+                                     for i in range(d)),
+        drift=lambda t, x: tuple(drift[..., i] for i in range(d)))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_matvec_matches_einsum(d):
+def test_euler_update_matches_einsum(d):
     rng = np.random.default_rng(d)
     vec = rng.standard_normal((400, d))
+    x = np.zeros((9, 400, d))
     for sigma in (rng.standard_normal((9, 400, d, d)),   # the sweep's shapes
                   rng.standard_normal((d, d))):          # a constant field
-        want = np.einsum("...ij,...j->...i", sigma, vec)
+        drift = rng.standard_normal(sigma.shape[:-1])
+        got = euler_update(dense_field(sigma, drift), 0.0, x, vec, 0.5)
+        want = np.einsum("...ij,...j->...i", sigma, vec) + 0.5 * drift
         if d <= 2:
-            np.testing.assert_array_equal(_matvec(sigma, vec), want)
+            np.testing.assert_array_equal(got, want)
         else:
-            np.testing.assert_allclose(_matvec(sigma, vec), want,
-                                       rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
 
 # -- explicit scheme ----------------------------------------------------------
@@ -81,8 +93,8 @@ def test_blowup_reports_step_index():
     path = sample_path(grid, 0, 0)
     explode = CoefficientField(
         name="explode", dim=1,
-        diffusion=lambda t, x: np.zeros((1, 1)),
-        drift=lambda t, x: x ** 3 * 1e8)
+        diffusion=lambda t, x: ((0.0,),),
+        drift=lambda t, x: (x[..., 0] ** 3 * 1e8,))
     with np.errstate(over="ignore"), pytest.raises(IntegrationError) as err:
         euler_penalized(HalfLine(0.0), explode, path, np.array([5.0]), 1.0)
     assert err.value.step_index is not None

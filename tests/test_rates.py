@@ -29,8 +29,8 @@ from refsde.reflected import projected_euler, skorokhod_map_halfline
 def zero_field(dim):
     return CoefficientField(
         name="zero", dim=dim,
-        diffusion=lambda t, x: np.zeros((dim, dim)),
-        drift=lambda t, x: np.zeros_like(x))
+        diffusion=lambda t, x: ((0.0,) * dim,) * dim,
+        drift=lambda t, x: (0.0,) * dim)
 
 
 def table_from(levels, errors, stderr=0.0, p=2.0):
@@ -261,6 +261,27 @@ def test_sweep_refined_reference_matches_per_path_api_bitwise():
             assert res["sup_err"][li, pi] == sup
 
 
+def test_lockstep_computes_increments_only_when_asked():
+    # With a 4x refined reference a grid step's driver increment is the sum
+    # of 4 sub-step increments, which the sweeps drop: unasked, neither it
+    # nor the penalty increment is computed, and the states keep their bits.
+    grid = TimeGrid.from_log2(1.0, 4)
+    args = (HalfLine(0.0), make_coefficients("ou1d"), np.array([0.0]), grid,
+            [16.0, 256.0], 3, "splitting", 4 * grid.steps)
+
+    def run(increments):
+        blocks = rates._increment_blocks(grid, 4 * grid.steps, 11, 3, 1)
+        return list(rates._lockstep(*args, blocks, increments=increments))
+
+    off, on = run(False), run(True)
+    assert len(off) == len(on) == grid.steps + 1
+    for (x, dk, x_ref, dy), (x_on, dk_on, x_ref_on, dy_on) in zip(off, on):
+        assert dk is None and dy is None
+        assert dk_on.shape == x_on.shape and dy_on.shape == x_ref_on.shape
+        assert x.tobytes() == x_on.tobytes()
+        assert x_ref.tobytes() == x_ref_on.tobytes()
+
+
 @pytest.mark.parametrize("block_words", [1, 120])
 def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, block_words):
     # d = 2 with a 4x refined reference, so the levels step on block sums
@@ -383,8 +404,8 @@ def test_sweep_non_finite_guard_names_first_bad_row():
     domain = HalfLine(0.0)
     coeffs = CoefficientField(
         name="explode-at-zero", dim=1,
-        diffusion=lambda t, x: np.array([[1.0]]),
-        drift=lambda t, x: np.where(x == 0.0, np.inf, 0.0))
+        diffusion=lambda t, x: ((1.0,),),
+        drift=lambda t, x: (np.where(x[..., 0] == 0.0, np.inf, 0.0),))
     grid = TimeGrid.from_log2(1.0, 4)
     x0 = np.array([0.25])
     levels = [4.0, 16384.0]
@@ -418,7 +439,8 @@ def test_sweep_guards_the_reference_state(ref_steps, first_bad):
     ou = make_coefficients("ou1d")
 
     def drift(t, x):
-        return ou.drift(t, x) + (np.inf if x.ndim == 2 and t >= 0.5 else 0.0)
+        (b,) = ou.drift(t, x)
+        return (b + (np.inf if x.ndim == 2 and t >= 0.5 else 0.0),)
 
     coeffs = CoefficientField(name="reference-blowup", dim=1,
                               diffusion=ou.diffusion, drift=drift)

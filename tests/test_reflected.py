@@ -17,8 +17,8 @@ from refsde.reflected import (
 def zero_field(dim):
     return CoefficientField(
         name="zero", dim=dim,
-        diffusion=lambda t, x: np.zeros((dim, dim)),
-        drift=lambda t, x: np.zeros_like(x))
+        diffusion=lambda t, x: ((0.0,) * dim,) * dim,
+        drift=lambda t, x: (0.0,) * dim)
 
 
 # -- one-sided reflection map ---------------------------------------------------

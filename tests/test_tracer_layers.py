@@ -20,6 +20,7 @@ LAYERS = (
     "brownian.halve_increments",
     "geometry.project",
     "coefficients.diffusion",
+    "coefficients.drift",
 )
 
 # Run in a child, because installing the tracer rebinds module attributes.
