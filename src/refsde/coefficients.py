@@ -95,12 +95,13 @@ def _linear_drift(mu, t, x):
 
 
 def _sin_coupled_diffusion(amplitude, t, x):
-    return ((1.0, amplitude * np.sin(x[..., 1])),
-            (amplitude * np.sin(x[..., 0]), 1.0))
+    s = np.sin(x)  # one call on the whole state, then two planes
+    return ((1.0, amplitude * s[..., 1]), (amplitude * s[..., 0], 1.0))
 
 
 def _cos_drift(scale, t, x):
-    return (scale * np.cos(x[..., 1]), scale * np.cos(x[..., 0]))
+    c = np.cos(x)
+    return (scale * c[..., 1], scale * c[..., 0])
 
 
 def _two_level_diffusion(low, high, threshold, t, x):
@@ -184,18 +185,27 @@ def euler_update(field_, t, x, dw, h, base=None):
     Coordinate i is ``(base_i + m_i) + h b_i``, or ``m_i + h b_i`` without
     ``base``, with ``m_i = sigma_i0 dw_0 + sigma_i1 dw_1 + ...`` in j order.
     Zero and unit entries stay multiplied, so the bits are the broadcast
-    matrix expression's. For d = 1 the result is a view of the one column.
+    matrix expression's. For d = 1 the result is a view of the one column,
+    else of a ``(d, ...)`` buffer: coordinate-major whatever the inputs are.
     """
-    b = field_.drift(t, x)
-    cols = []
-    for i, row in enumerate(field_.diffusion(t, x)):
+    b, rows = field_.drift(t, x), field_.diffusion(t, x)
+    out = None
+    for i, row in enumerate(rows):
         m = row[0] * dw[..., 0]
         for j in range(1, len(row)):
             m = m + row[j] * dw[..., j]
         if base is not None:
             m = base[..., i] + m
-        cols.append(m + h * b[i])
-    return cols[0][..., None] if len(cols) == 1 else np.stack(cols, axis=-1)
+        hb = h * b[i]
+        if len(rows) == 1:
+            return (m + hb)[..., None]
+        if out is None:
+            shape = m.shape
+            if getattr(hb, "shape", shape) != shape:  # a wider drift
+                shape = np.broadcast(m, hb).shape
+            out = np.empty((len(rows),) + shape)
+        np.add(m, hb, out=out[i, ...])  # out[i] is no view for a (d,) point
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,7 @@ class Polyhedron(ConvexDomain):
         object.__setattr__(self, "_lower", lower)
         object.__setattr__(self, "_upper", upper)
         object.__setattr__(self, "_clips", _clips(lower, upper))
+        object.__setattr__(self, "_runs", _runs(lower, upper))
         object.__setattr__(self, "_rest", rest)
         object.__setattr__(self, "_faces", a[rest].tolist())
         object.__setattr__(self, "_bounds", c[rest].tolist())
@@ -146,8 +147,8 @@ class Polyhedron(ConvexDomain):
         # itself).
         x = self._check_point(x)
         if not self._faces:
-            return _clip_columns(x, self._clips)
-        return _project(x, self._clips, self._faces, self._bounds,
+            return _clip_columns(x, self._runs)
+        return _project(x, self._runs, self._faces, self._bounds,
                         self._active_sets)
 
     def boundary_distance(self, x):
@@ -179,9 +180,8 @@ class Polyhedron(ConvexDomain):
             # shrunk interval; the margin is skipped before it overflows.
             if (np.all(self._lower <= top - shrink)
                     and np.all(self._upper >= shrink - top)):
-                x = _project(origin,
-                             _clips(self._lower + shrink,
-                                    self._upper - shrink),
+                x = _project(origin, _runs(self._lower + shrink,
+                                           self._upper - shrink),
                              self._faces, [c - eps for c in self._bounds],
                              self._active_sets)
                 if np.all(self.slack(x)
@@ -262,16 +262,15 @@ class Ball(ConvexDomain):
     def dim(self):
         return self.center.shape[0]
 
-    def project(self, x):
-        # One whole-column pass per coordinate, as in ``row_norm_sq``: the
-        # elementwise operations of ``center + delta * (R / r)`` in the same
-        # order, so the bits are those of the broadcast over the last axis.
-        x = self._check_point(x)
+    def _offsets(self, x):
+        # x - center and its row_norm by columns, with the broadcast's bits.
         delta = [x[..., j] - c for j, c in enumerate(self.center)]
-        r_sq = delta[0] * delta[0]
-        for d_j in delta[1:]:
-            r_sq = r_sq + d_j * d_j
-        r = np.sqrt(r_sq)
+        r_sq = sum((d_j * d_j for d_j in delta[1:]), delta[0] * delta[0])
+        return delta, np.sqrt(r_sq)
+
+    def project(self, x):
+        x = self._check_point(x)
+        delta, r = self._offsets(x)
         outside = r > self.radius
         if not np.any(outside):
             return x
@@ -282,8 +281,8 @@ class Ball(ConvexDomain):
         return out
 
     def boundary_distance(self, x):
-        x = self._check_point(x)
-        return np.abs(self.radius - row_norm(x - self.center))
+        _, r = self._offsets(self._check_point(x))
+        return np.abs(self.radius - r)
 
     def interior_point(self):
         return self.center.copy()
@@ -359,24 +358,40 @@ def _clips(lower, upper):
             for j in np.flatnonzero(bounded)]
 
 
-def _clip_columns(x, clips):
-    """``x`` with each column j of ``clips`` clipped to its scalar bounds (a
-    single column as a whole), or ``x`` itself if there are none. Scalar
+def _runs(lower, upper):
+    """``_clips(lower, upper)`` as maximal runs of adjacent coordinates with
+    bitwise equal bounds, ``(slice, lo, hi)``; a run over every coordinate
+    is ``(Ellipsis, lo, hi)``."""
+    runs = []
+    for j, lo, hi in _clips(lower, upper):
+        same = runs and runs[-1][0].stop == j and (
+            runs[-1][1].hex(), runs[-1][2].hex()) == (lo.hex(), hi.hex())
+        start = runs.pop()[0].start if same else j
+        runs.append((slice(start, j + 1), lo, hi))
+    if len(runs) == 1 and runs[0][0] == slice(0, len(lower)):
+        return [(Ellipsis,) + runs[0][1:]]
+    return runs
+
+
+def _clip_columns(x, runs):
+    """``x`` with each run of columns clipped as one slab to its scalar
+    bounds, or ``x`` itself if there are none; a copy keeps its layout. Scalar
     bounds keep a value inside them bit for bit, ``-0.0`` included, whatever
     the batch; array bounds can return a zero bound's ``-0.0`` as ``+0.0``."""
-    if not clips:
+    if not runs:
         return x
-    if x.shape[-1] == 1:
-        _, lo, hi = clips[0]
+    cols, lo, hi = runs[0]
+    if cols is Ellipsis:
         return _clip(x, lo, hi)
-    out = np.empty_like(x) if len(clips) == x.shape[-1] else x.copy()
-    for j, lo, hi in clips:
-        out[..., j] = _clip(x[..., j], lo, hi)
+    out = np.copy(x)
+    for cols, lo, hi in runs:
+        out[..., cols] = _clip(x[..., cols], lo, hi)
     return out
 
 
 def _clip(col, lo, hi):
-    """``clip(col, lo, hi)``. A one-sided bound goes through ``maximum`` or
+    """``clip(col, lo, hi)`` in one ufunc call that keeps the memory order of
+    ``col``, a column or a slab. A one-sided bound goes through ``maximum`` or
     ``minimum`` with the bound first, which gives ``clip``'s bits (a tie
     keeps the column's ``-0.0``) without its Python wrapper."""
     if hi == math.inf:
@@ -434,10 +449,10 @@ def _combine(coeffs, terms):
     return out
 
 
-def _project(x, clips, faces, offsets, active_sets):
+def _project(x, runs, faces, offsets, active_sets):
     """Metric projection of ``x`` ``(..., d)`` onto a polyhedron.
 
-    The polyhedron is the product of the intervals ``clips`` on its free
+    The polyhedron is the product of the intervals ``runs`` on its free
     coordinates and of ``<a_i, x> <= c_i`` over the remaining ``faces``,
     which touch only the other coordinates. The two factors live in
     orthogonal coordinates, so the projection is the pair of their
@@ -454,11 +469,10 @@ def _project(x, clips, faces, offsets, active_sets):
     on coordinate columns, so a point's result does not depend on its
     batch; feasible points are returned bitwise unchanged.
     """
-    x = _clip_columns(x, clips)
+    x = _clip_columns(x, runs)
     if not faces:
         return x
-    d = x.shape[-1]
-    cols = [x[..., j] for j in range(d)]
+    cols = [x[..., j] for j in range(x.shape[-1])]
     res = []
     outside = False
     for a, c in zip(faces, offsets):
@@ -493,9 +507,10 @@ def _project(x, clips, faces, offsets, active_sets):
                 p[j] = np.where(better, cols[j], p[j])
             else:
                 p[j] = np.where(better, cols[j] - q, p[j])
-    out = x.reshape(-1, d).copy()
-    out[rows_out] = np.stack(p, axis=-1)
-    return out.reshape(x.shape)
+    out = np.copy(x)  # scattered back by columns, in any layout
+    for j, p_j in enumerate(p):
+        out[..., j][outside] = p_j
+    return out
 
 
 # ---------------------------------------------------------------------------

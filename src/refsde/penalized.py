@@ -73,7 +73,8 @@ def splitting_step(domain, coeffs, t, x, dw, h, level, *, decay=None,
     p = domain.project(y)
     if decay is None:
         decay = np.exp(-level * h)
-    z = p + (y - p) * decay
+    z = (y - p) * decay  # plus p in place: IEEE addition commutes
+    z += p
     return z, z - y if penalty else None
 
 

@@ -13,13 +13,12 @@ sample their increments in time blocks of at most ``_BLOCK_WORDS`` fine
 words or one grid step, whichever is larger, and only one block is alive
 at a time, so their memory does not grow with the number of steps.
 
-Per grid step a sweep computes only what it keeps: the levels' new states
-(one kernel call), the reference's sub-steps where there is one, one
-finiteness reduction per state array, and the squared distances or errors
-it folds into running maxima, which are rooted once at the end. The
-penalty increments, which only the per-path integrators record, are not
-computed, and the splitting scheme's decay ``exp(-n h)`` is computed once
-per sweep.
+Per grid step a sweep computes only what it keeps (see ``_lockstep`` and
+``_sweep_paths``), on coordinate-major memory: the ``(L, P, d)`` states,
+the ``(P, d)`` reference and the ``(steps, P, d)`` increment blocks are
+views of ``(d, L, P)``, ``(d, P)`` and ``(steps, d, P)`` memory, so every
+``x[..., j]`` a kernel reads is one contiguous plane. The kernels'
+elementwise results keep that layout, with the bits of C-ordered arrays.
 
 Errors are pooled as ``(mean over paths of sup^p)^(1/p)``; the bias of the
 root is accepted and the reported standard error is propagated to the same
@@ -259,6 +258,7 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     sub-steps per grid step on its ``(P, d)`` states; ``levels`` may then be
     empty. ``blocks`` yields time-major increments: ``(s, P, d)`` for the
     levels' next ``s`` steps and ``(s * factor, P, d)`` for the reference.
+    The states are coordinate-major (see the module docstring).
 
     Yields ``(x, dk, x_ref, dy)`` at every grid time: the level states with
     the step's penalty increments, and the reference state (None without
@@ -313,9 +313,10 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
         h_ref = TimeGrid(grid.horizon, ref_steps).step
 
     d = domain.dim
-    x = np.broadcast_to(x0, (len(levels), num_paths, d)).copy()
-    x_ref = (None if ref_steps is None
-             else np.broadcast_to(x0, (num_paths, d)).copy())
+    x = np.moveaxis(np.broadcast_to(x0[:, None, None], (
+        d, len(levels), num_paths)).copy(), 0, -1)
+    x_ref = (None if ref_steps is None else np.moveaxis(
+        np.broadcast_to(x0[:, None], (d, num_paths)).copy(), 0, -1))
     dk, dy = (np.zeros_like(x), x_ref) if increments else (None, None)
     yield x, dk, x_ref, dy
     k = 0
@@ -359,16 +360,16 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
 
 def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
     """Sampled increment pairs for ``_lockstep``: fine increments for the
-    reference and their ``factor``-step sums for the levels, in time-major
-    order, ``(steps, P, d)``, so that every step reads one contiguous
-    ``(P, d)`` slab. A block is as many whole coarse steps as fit in
-    ``_BLOCK_WORDS`` fine words, and at least one, so the sums match a
-    whole-path generation bitwise. It is filled in place one tile of
-    ``_TILE_PATHS`` paths at a time, and ``_lockstep`` drops it before the
-    next is sampled. So the increments take one block of at most
-    ``max(_BLOCK_WORDS, P * d * factor)`` fine words (8 MiB unless a
-    coarse step alone is larger), its sums and one tile, however many
-    steps there are."""
+    reference and their ``factor``-step sums for the levels, time-major
+    ``(steps, P, d)`` blocks in ``(steps, d, P)`` memory, so that every step
+    reads a contiguous ``(P, d)`` slab, one plane per coordinate. A block is
+    as many whole coarse steps as fit in ``_BLOCK_WORDS`` fine words, and at
+    least one, so the sums match a whole-path generation bitwise. It is
+    filled in place one tile of ``_TILE_PATHS`` paths at a time, and
+    ``_lockstep`` drops it before the next is sampled. So the increments
+    take one block of at most ``max(_BLOCK_WORDS, P * d * factor)`` fine
+    words (8 MiB unless a coarse step alone is larger), its sums and one
+    tile, however many steps there are."""
     m = grid.steps
     finest = TimeGrid(grid.horizon, ref_steps or m)
     factor = finest.steps // m
@@ -382,10 +383,10 @@ def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
 
 def _sample_block(finest, master_seed, num_paths, d, factor, b0, b1):
     """The time-major pair of ``_increment_blocks`` for coarse steps
-    ``b0:b1``, filled one tile of paths at a time."""
-    inc = np.empty((b1 - b0, num_paths, d))
-    inc_f = inc if factor == 1 else np.empty(((b1 - b0) * factor,
-                                              num_paths, d))
+    ``b0:b1``, in ``(steps, d, P)`` memory, filled one tile at a time."""
+    inc = np.empty((b1 - b0, d, num_paths)).transpose(0, 2, 1)
+    inc_f = inc if factor == 1 else np.empty(
+        ((b1 - b0) * factor, d, num_paths)).transpose(0, 2, 1)
     for p0 in range(0, num_paths, _TILE_PATHS):
         p1 = min(p0 + _TILE_PATHS, num_paths)
         tile = sample_increments(finest, master_seed, range(p0, p1), d,
@@ -403,7 +404,8 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     Feeds ``_lockstep`` with sampled increments and keeps its reductions:
     per-path sup errors and sup boundary distances, shape ``(L, P)``, as
     requested, and the terminal states of the levels, ``(L, P, d)``, and of
-    the reference, ``(P, d)``.
+    the reference, ``(P, d)``, copied to C order: numpy sums a mean over
+    paths in order there, but pairwise along a contiguous axis.
 
     Per grid step, besides ``_lockstep``'s states, this computes only the
     squared distances ``row_norm_sq(x - project(x))`` and squared errors
@@ -426,18 +428,20 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
             np.maximum(sq_err, row_norm_sq(x - x_ref), out=sq_err)
     return {"sup_err": np.sqrt(sq_err) if want_err else None,
             "sup_dist": np.sqrt(sq_dist) if want_dist else None,
-            "terminal": x, "ref_terminal": x_ref}
+            "terminal": x.copy(order="C"),
+            "ref_terminal": None if x_ref is None else x_ref.copy(order="C")}
 
 
 def _all_finite(x):
     """``np.isfinite(x).all()``, in one pass when it holds.
 
-    ``np.vdot(x, x)`` is one reduction with no temporary, finite unless an
-    entry is not finite or the sum of squares overflows; only then does the
-    exact test run. Unlike ``x.sum()`` it does not warn on overflow, and an
-    ``np.errstate`` per step would cost more than the guard saves.
+    ``np.vdot`` of ``x.ravel("K")``, a view of coordinate-major memory, is
+    one reduction with no temporary, finite unless an entry is not finite or
+    the sum of squares overflows; only then does the exact test run. Unlike
+    ``x.sum()`` it does not warn on overflow, so it needs no ``np.errstate``.
     """
-    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+    v = x.ravel("K")
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(x).all())
 
 
 def _first_bad_row(x):

@@ -5,8 +5,9 @@ sweeps and the per-path integrators run through it. ``penalized_loop`` and
 ``reference_loop`` call the step kernels on one ``(d,)`` point with a scalar
 level, one grid step at a time, and accumulate each field step by step as it
 is defined. They do not guard against non-finite states. ``coarsen`` restricts
-a path to a coarser grid, and ``ball_project`` is the ball projection as one
-broadcast over the last axis. ``field_arrays`` assembles a field's entries
+a path to a coarser grid, and ``ball_project`` and ``ball_boundary_distance``
+are the ball's projection and boundary distance as broadcasts over the last
+axis. ``field_arrays`` assembles a field's entries
 into a ``(..., d, d)`` diffusion matrix and a ``(..., d)`` drift, and
 ``matrix_update`` is the Euler update as the broadcast matrix expression
 ``x + sigma @ dw + h b``, whose bits ``coefficients.euler_update`` must keep.
@@ -73,6 +74,11 @@ def ball_project(ball, x):
     safe_r = np.where(outside, r, 1.0)
     scaled = ball.center + delta * (ball.radius / safe_r)[..., None]
     return np.where(outside[..., None], scaled, x)
+
+
+def ball_boundary_distance(ball, x):
+    """``|R - |x - c||`` as one broadcast over the last axis."""
+    return np.abs(ball.radius - row_norm(x - ball.center))
 
 
 def field_arrays(field, t, x):

@@ -10,7 +10,11 @@ numpy likewise dispatches its ufuncs to the best SIMD level of the CPU, and
 Its AVX-512 ``power`` likewise differs on a few percent of inputs for
 exponents other than 1 and 2. These tests run the projected-Euler variation
 on a ball, rate fits and pooled L^p norms in child interpreters under
-several core types and SIMD levels and compare their bytes.
+several core types and SIMD levels and compare their bytes. The children
+also evaluate the whole-array calls of the coordinate-major step engine,
+``quadrant2d``'s ``sin`` and ``cos`` and the slab clips of a box, on
+coordinate-major and C-ordered states, next to the per-column calls on
+strided columns, which must all give the same bytes at every SIMD level.
 """
 
 import json
@@ -63,7 +67,7 @@ import numpy as np
 from test_blas_dispatch import LOG_DISPATCH_SEED, POOLED_P, noisy_table
 from refsde.brownian import TimeGrid, sample_path
 from refsde.coefficients import make_coefficients
-from refsde.geometry import Ball
+from refsde.geometry import Ball, Box
 from refsde.rates import _tables, fit_rate
 from refsde.reflected import projected_euler
 
@@ -81,7 +85,28 @@ fits = [fit_rate(noisy_table(seed), reg) for seed in (3, LOG_DISPATCH_SEED)
 # depend on the SIMD level.
 sups = np.random.default_rng(11).random((4, 2000)) * 3.0
 pooled = _tables([16, 32, 64, 128], sups, 2000, POOLED_P)
+# Two coordinates in (2, N) memory, with signed zeros and NaN planted.
+planes = np.random.default_rng(12).standard_normal((2, 4000)) * 2.0
+planes[:, ::9], planes[:, 4::9] = -0.0, 0.0
+planes[0, 2::17], planes[1, 5::23] = np.nan, np.nan
+boxes = [Box(lower=[0.0, 0.0], upper=[np.inf, np.inf]),
+         Box(lower=[-np.inf, -np.inf], upper=[0.0, 0.0]),
+         Box(lower=[-1.0, -1.0], upper=[1.0, 1.0])]
+layout = {}
+for name, x in (("coordinate_major", planes.T),
+                ("c_order", np.ascontiguousarray(planes.T))):
+    (_, s1), (s0, _) = coeffs.diffusion(0.0, x)
+    out = [s1, s0, *coeffs.drift(0.0, x)] + [box.project(x) for box in boxes]
+    layout[name] = hashlib.sha256(b"".join(a.tobytes() for a in out))
+x = np.ascontiguousarray(planes.T)  # each x[..., j] a strided column
+cols = [x[..., 1], x[..., 0]]
+out = ([0.1 * np.sin(c) for c in cols] + [0.5 * np.cos(c) for c in cols]
+       + [np.stack([f(c) for c in cols[::-1]], axis=-1) for f in (
+           lambda c: np.maximum(0.0, c), lambda c: np.minimum(0.0, c),
+           lambda c: np.clip(c, -1.0, 1.0))])
+layout["columns"] = hashlib.sha256(b"".join(a.tobytes() for a in out))
 print(json.dumps({
+    "layout": {name: h.hexdigest() for name, h in layout.items()},
     "variation": variation.hexdigest(),
     "fit": [[f.slope.hex(), f.intercept.hex(), f.residual_rms.hex()]
             for f in fits],
@@ -140,6 +165,14 @@ def test_pooled_norm_is_independent_of_the_simd_level(per_coretype,
     want = per_coretype[None]["pooled"]
     for off in SIMD_OFF:
         assert per_simd_level[off]["pooled"] == want, off
+
+
+def test_whole_array_calls_match_columns_at_every_simd_level(
+        per_coretype, per_simd_level):
+    want = per_coretype[None]["layout"]
+    assert len(set(want.values())) == 1, want
+    for off in SIMD_OFF:
+        assert per_simd_level[off]["layout"] == want, off
 
 
 def test_rate_fit_agrees_with_polyfit():

@@ -239,3 +239,20 @@ def test_euler_update_is_a_view_for_one_coordinate():
     x = np.ones((3, 4, 1))
     got = euler_update(field, 0.0, x, np.ones((4, 1)), 0.5, base=x)
     assert got.shape == (3, 4, 1) and got.base is not None
+
+
+def test_euler_update_broadcasts_a_drift_wider_than_the_noise():
+    # Constant entries: without a base, sigma dW has the increments' (400,)
+    # shape and the drift the states' (9, 400), so the result takes the
+    # broadcast of the two, as the matrix expression does.
+    field = CoefficientField(
+        name="constant-noise", dim=2,
+        diffusion=lambda t, x: ((1.0, 0.5), (0.0, 2.0)),
+        drift=lambda t, x: (-x[..., 0], 0.25 * x[..., 1]))
+    rng = np.random.default_rng(5)
+    x, dw = rng.standard_normal((9, 400, 2)), rng.standard_normal((400, 2))
+    for base in (None, x):
+        got = euler_update(field, 0.0, x, dw, 2.0 ** -8, base=base)
+        want = matrix_update(field, 0.0, x, dw, 2.0 ** -8, base=base)
+        assert got.shape == want.shape == (9, 400, 2)
+        assert got.tobytes() == want.tobytes()

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from oracle import ball_project
+from oracle import ball_boundary_distance, ball_project
 
 from refsde import geometry
 from refsde.geometry import (
@@ -302,17 +302,26 @@ def test_project_ball_radial():
 # The offsets (3, -4) and (-2, 3, 6) have the integer lengths 5 and 7, and
 # the dyadic centres add and subtract exactly, so those points lie exactly
 # on the sphere.
-@pytest.mark.parametrize("center, radius, on_sphere, shape", [
+BALL_CASES = pytest.mark.parametrize("center, radius, on_sphere, shape", [
     ([0.5, -0.25], 5.0, [3.0, -4.0], (9, 400, 2)),
     ([0.5, -0.25, 1.75], 7.0, [-2.0, 3.0, 6.0], (400, 3)),
 ])
-def test_ball_projection_by_columns_matches_broadcast_bitwise(
-        center, radius, on_sphere, shape):
+
+
+def ball_points(center, radius, on_sphere, shape):
+    """Uniform points around the ball, every 7th row exactly on its sphere."""
     ball = Ball(center=center, radius=radius)
     rng = np.random.default_rng(8)
     x = ball.center + rng.uniform(-2.0 * radius, 2.0 * radius, shape)
     flat = x.reshape(-1, ball.dim)
     flat[::7] = ball.center + np.array(on_sphere)
+    return ball, x, flat
+
+
+@BALL_CASES
+def test_ball_projection_by_columns_matches_broadcast_bitwise(
+        center, radius, on_sphere, shape):
+    ball, x, flat = ball_points(center, radius, on_sphere, shape)
     assert ball.project(x).tobytes() == ball_project(ball, x).tobytes()
     r = row_norm(flat - ball.center)
     for where in (r < radius, r == radius, r > radius):
@@ -320,6 +329,18 @@ def test_ball_projection_by_columns_matches_broadcast_bitwise(
         assert where.any() and point.shape == (ball.dim,)
         assert ball.project(point).tobytes() == \
             ball_project(ball, point).tobytes()
+
+
+@BALL_CASES
+def test_ball_boundary_distance_by_columns_matches_broadcast_bitwise(
+        center, radius, on_sphere, shape):
+    ball, x, flat = ball_points(center, radius, on_sphere, shape)
+    got = ball.boundary_distance(x)
+    assert got.tobytes() == ball_boundary_distance(ball, x).tobytes()
+    assert np.all(got.reshape(-1)[::7] == 0.0)  # the points on the sphere
+    for point in flat[:20]:
+        assert ball.boundary_distance(point).tobytes() == \
+            ball_boundary_distance(ball, point).tobytes()
 
 
 def test_project_quadrant_corner_against_grid_search():

@@ -323,7 +323,10 @@ def test_increment_blocks_match_whole_path_sampling(monkeypatch, factor,
     assert [inc.shape for inc, _ in blocks] == (
         [(3, num_paths, d)] * 5 + [(1, num_paths, d)])
     for inc, inc_f in blocks:
-        assert inc.flags.c_contiguous and inc_f.flags.c_contiguous
+        # (steps, P, d) views of (steps, d, P) memory: each step's increments
+        # are one contiguous plane per coordinate.
+        assert np.moveaxis(inc, -1, 1).flags.c_contiguous
+        assert np.moveaxis(inc_f, -1, 1).flags.c_contiguous
         assert inc_f.shape == (factor * inc.shape[0], num_paths, d)
     whole = sample_increments(finest, 17, range(num_paths), d)
     fine = np.concatenate([inc_f for _, inc_f in blocks])
@@ -511,6 +514,27 @@ def test_weak_compare_mean_shrinks_with_level():
     values = [r.value for r in rows]
     assert values[-1] < values[0]
     assert values[2] < values[0]
+
+
+# Values of the d = 2 run below, as computed before the sweeps kept their
+# states coordinate-major. A (P, d) terminal in (d, P) memory would switch
+# the mean over paths to numpy's pairwise summation and move these bits.
+WEAK_PINS = {
+    "mean": ["0x1.88b94e788175ep-2", "0x1.34a0fd100954cp-3",
+             "0x1.f1fc0ec8c3a39p-5", "0x1.7b7df4e454e49p-6"],
+    "second_moment": ["0x1.99823023d24cbp+0", "0x1.a09e7ae46cf74p-2",
+                      "0x1.2003d5fb06c60p-3", "0x1.bd0fc98c22160p-5"],
+}
+
+
+@pytest.mark.parametrize("functional", sorted(WEAK_PINS))
+def test_weak_reductions_are_pinned(functional):
+    rows = weak_compare(Box(lower=[0.0, 0.0], upper=[2.0, 2.0]),
+                        make_coefficients("gbm-box", sigma0=1.5),
+                        [4, 16, 64, 256], TimeGrid.from_log2(1.0, 8), 300,
+                        functional, np.array([0.1, 1.9]), 11,
+                        reference_steps=512)
+    assert [r.value.hex() for r in rows] == WEAK_PINS[functional]
 
 
 def test_weak_compare_validates_functional():
