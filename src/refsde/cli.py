@@ -201,6 +201,8 @@ def parse_config(raw, kind):
             f"{max(n_list) * grid.step:.4g} > 1")
     if kind != "weak-compare" and len(n_list) < 4:
         raise ConfigError("n_list needs at least 4 levels for the rate fit")
+    if kind != "weak-compare" and n_list[0] < 2:
+        raise ConfigError("n_list levels must be >= 2 for the rate fit")
     p_list = raw.get("p_list", [2.0])
     if not isinstance(p_list, list):
         raise ConfigError("p_list must be a list")
@@ -221,9 +223,11 @@ def parse_config(raw, kind):
             raise ConfigError(f"unknown keys in reference: {sorted(extra)}")
         ref_log2 = _convert(ref.get("log2_steps", log2_steps), int,
                             "reference log2_steps")
-        if ref_log2 < log2_steps or ref_log2 > 30:
+        if ref_log2 < log2_steps:
             raise ConfigError(
                 "reference log2_steps must be >= log2_fine_steps")
+        if ref_log2 > 30:
+            raise ConfigError("reference log2_steps must be <= 30")
         cfg.update(reference_steps=1 << ref_log2)
 
     if kind == "weak-compare":

@@ -126,7 +126,6 @@ class Polyhedron(ConvexDomain):
         lower, upper, rest, coupled = _split_faces(a, c)
         object.__setattr__(self, "_lower", lower)
         object.__setattr__(self, "_upper", upper)
-        object.__setattr__(self, "_clips", _clips(lower, upper))
         object.__setattr__(self, "_runs", _runs(lower, upper))
         object.__setattr__(self, "_rest", rest)
         object.__setattr__(self, "_faces", a[rest].tolist())
@@ -143,13 +142,9 @@ class Polyhedron(ConvexDomain):
         return self.offsets - np.einsum("...d,md->...m", x, self.normals)
 
     def project(self, x):
-        # Feasible points are returned unchanged (possibly the input array
-        # itself).
-        x = self._check_point(x)
-        if not self._faces:
-            return _clip_columns(x, self._runs)
-        return _project(x, self._runs, self._faces, self._bounds,
-                        self._active_sets)
+        # Feasible points come back unchanged, possibly as ``x`` itself.
+        return _project(self._check_point(x), self._runs, self._faces,
+                        self._bounds, self._active_sets)
 
     def boundary_distance(self, x):
         margin = np.min(self.slack(x), axis=-1, initial=np.inf)
@@ -351,19 +346,14 @@ def _split_faces(normals, offsets):
     return lower, upper, ~clipped, np.flatnonzero(~free)
 
 
-def _clips(lower, upper):
-    """``(j, lo, hi)`` for every coordinate j with a finite bound."""
-    bounded = np.isfinite(lower) | np.isfinite(upper)
-    return [(int(j), float(lower[j]), float(upper[j]))
-            for j in np.flatnonzero(bounded)]
-
-
 def _runs(lower, upper):
-    """``_clips(lower, upper)`` as maximal runs of adjacent coordinates with
-    bitwise equal bounds, ``(slice, lo, hi)``; a run over every coordinate
-    is ``(Ellipsis, lo, hi)``."""
+    """The coordinates with a finite bound in ``lower`` or ``upper``, as
+    maximal runs of adjacent coordinates with bitwise equal bounds,
+    ``(slice, lo, hi)``; a run over every coordinate is
+    ``(Ellipsis, lo, hi)``."""
     runs = []
-    for j, lo, hi in _clips(lower, upper):
+    for j in np.flatnonzero(np.isfinite(lower) | np.isfinite(upper)).tolist():
+        lo, hi = float(lower[j]), float(upper[j])
         same = runs and runs[-1][0].stop == j and (
             runs[-1][1].hex(), runs[-1][2].hex()) == (lo.hex(), hi.hex())
         start = runs.pop()[0].start if same else j

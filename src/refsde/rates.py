@@ -116,10 +116,10 @@ class RateReport:
 def fit_rate(table, regressor="ln_n_over_n", band=None):
     """Least-squares fit of log(error) against log(regressor(n)).
 
-    Requires at least four rows and strictly positive errors (the log is
-    degenerate otherwise; a zero error raises ``RateFitError`` naming its
-    levels). ``band = (lo, hi)`` with ``None`` for an open
-    side attaches a pass/fail verdict for the slope.
+    Requires at least four rows, strictly positive errors and a positive
+    regressor (the log is degenerate otherwise; a zero error raises
+    ``RateFitError`` naming its levels). ``band = (lo, hi)`` with ``None``
+    for an open side attaches a pass/fail verdict for the slope.
     """
     if regressor not in REGRESSORS:
         raise ValueError(f"unknown regressor {regressor!r}")
@@ -132,6 +132,9 @@ def fit_rate(table, regressor="ln_n_over_n", band=None):
         raise RateFitError(
             f"rate fit needs strictly positive errors; the error is 0 at "
             f"n = {zero}")
+    bad = [x.level for x in table.rows if REGRESSORS[regressor](x.level) <= 0]
+    if bad:
+        raise ValueError(f"regressor {regressor} is not positive at n = {bad}")
     # Scalar logs and closed-form least squares on centred regressors, with
     # exactly rounded sums: neither numpy's SIMD log nor LAPACK, so the bits
     # do not depend on the CPU dispatch or the BLAS kernels.
@@ -269,12 +272,12 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     and ``dy`` are None.
 
     Per grid step this computes the kernel's new states, the reference's
-    sub-steps, the asked-for increments and one guard per state array. The
-    splitting scheme's decay ``exp(-n h)`` is computed once per sweep, with
-    the kernel's own numpy call on the same ``(L, 1, 1)`` array, so it has
-    the bits a per-step evaluation had. A non-finite state raises
-    ``IntegrationError`` naming its step and path; each guard is one
-    reduction over the whole array, and the exact test and the offending
+    sub-steps, the asked-for increments and one ``_guard`` call per state
+    array. The splitting scheme's decay ``exp(-n h)`` is computed once per
+    sweep, with the kernel's own numpy call on the same ``(L, 1, 1)`` array,
+    so it has the bits a per-step evaluation had. A non-finite state raises
+    ``IntegrationError`` naming its step and path (and level); each guard is
+    one reduction over the whole array, and the exact test and the offending
     row's lookup run only when that reduction is not finite.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -330,28 +333,12 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
                     x_ref, dy_j = projected_euler_step(
                         domain, coeffs, t + j * h_ref, x_ref,
                         inc_ref[i * factor + j], h_ref)
-                    if not _all_finite(x_ref):
-                        s = k * factor + j + 1
-                        pi = _first_bad_row(x_ref)
-                        raise IntegrationError(
-                            f"non-finite reference state at step {s}, "
-                            f"path {pi}",
-                            step_index=s, path_index=pi,
-                        )
+                    _guard(x_ref, k * factor + j + 1)
                     if increments:
                         dy = dy_j if j == 0 else dy + dy_j
             if levels:
                 x, dk = step(domain, coeffs, t, x, inc[i], h, level, **kw)
-                if not _all_finite(x):
-                    # Row-major order over (level, path): the first bad row
-                    # is the one a level-by-level loop would have hit first.
-                    li, pi = divmod(_first_bad_row(x), num_paths)
-                    n = levels[li]
-                    raise IntegrationError(
-                        f"non-finite state at step {k + 1}, level n = {n:g}, "
-                        f"path {pi}",
-                        step_index=k + 1, path_index=pi, level=n,
-                    )
+                _guard(x, k + 1, levels)
             k += 1
             yield x, dk, x_ref, dy
         # Dropped before the next block is sampled: one block in flight.
@@ -432,8 +419,10 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
             "ref_terminal": None if x_ref is None else x_ref.copy(order="C")}
 
 
-def _all_finite(x):
-    """``np.isfinite(x).all()``, in one pass when it holds.
+def _guard(x, step, levels=None):
+    """Raise ``IntegrationError`` if ``x`` is not finite: the ``(P, d)``
+    reference after fine step ``step``, or with ``levels`` the ``(L, P, d)``
+    level states after grid step ``step``.
 
     ``np.vdot`` of ``x.ravel("K")``, a view of coordinate-major memory, is
     one reduction with no temporary, finite unless an entry is not finite or
@@ -441,13 +430,20 @@ def _all_finite(x):
     ``x.sum()`` it does not warn on overflow, so it needs no ``np.errstate``.
     """
     v = x.ravel("K")
-    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(x).all())
-
-
-def _first_bad_row(x):
-    """Flat index, in row-major order, of the first row of ``x`` that is
-    not finite."""
-    return int(np.argmin(np.isfinite(x).all(axis=-1)))
+    if math.isfinite(np.vdot(v, v)) or np.isfinite(x).all():
+        return
+    # Row-major order over (level, path): the first bad row is the one a
+    # level-by-level loop would have hit first.
+    row = int(np.argmin(np.isfinite(x).all(axis=-1)))
+    if levels is None:
+        raise IntegrationError(
+            f"non-finite reference state at step {step}, path {row}",
+            step_index=step, path_index=row)
+    li, pi = divmod(row, x.shape[-2])
+    n = levels[li]
+    raise IntegrationError(
+        f"non-finite state at step {step}, level n = {n:g}, path {pi}",
+        step_index=step, path_index=pi, level=n)
 
 
 def _pooled_norm(sups, p):

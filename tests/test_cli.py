@@ -82,6 +82,21 @@ def test_rate_kinds_need_four_levels(kind):
     assert parse_config(base_config(n_list=[4]), "weak-compare").n_list == (4,)
 
 
+@pytest.mark.parametrize("kind", ["dist-rate", "strong-rate"])
+def test_rate_kinds_reject_level_one(kind, tmp_path, capsys):
+    # ln(n)/n is 0 at n = 1, so the rate fit could not take its log; the
+    # config is refused before the sweep runs, not after it.
+    with pytest.raises(ConfigError, match="levels must be >= 2"):
+        parse_config(base_config(n_list=[1, 2, 4, 8]), kind)
+    path = write_config(tmp_path, base_config(n_list=[1, 2, 4, 8]))
+    out = tmp_path / "out"
+    assert main([kind, "--config", path, "--out", str(out)]) == 2
+    assert ">= 2" in capsys.readouterr().err and not out.exists()
+    assert parse_config(base_config(n_list=[2, 4, 8, 16]), kind).n_list[0] == 2
+    # weak-compare fits no rate, so level 1 is a valid level there.
+    assert parse_config(base_config(n_list=[1]), "weak-compare").n_list == (1,)
+
+
 @pytest.mark.parametrize("key,value", [
     ("horizon_T", "one"),
     ("horizon_T", None),
@@ -169,6 +184,17 @@ def test_reference_validation():
                                  "log2_steps": 4})
     with pytest.raises(ConfigError, match="log2_steps"):
         parse_config(cfg, "strong-rate")
+    # Each bound has its own message: 31 is above log2_fine_steps (8), so
+    # only the upper bound is named.
+    for log2_steps, message in [(7, ">= log2_fine_steps"), (31, "<= 30")]:
+        cfg = base_config(reference={"scheme": "projected_euler",
+                                     "log2_steps": log2_steps})
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg, "strong-rate")
+        assert str(err.value) == f"reference log2_steps must be {message}"
+    assert parse_config(base_config(reference={
+        "scheme": "projected_euler", "log2_steps": 30}),
+        "strong-rate").reference_steps == 1 << 30
     cfg = base_config(reference={"scheme": "projected_euler",
                                  "log2_steps": 8, "period": 2})
     with pytest.raises(ConfigError, match="unknown keys in reference"):

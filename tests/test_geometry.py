@@ -136,14 +136,41 @@ def test_coordinate_faces_on_coupled_coordinates_stay_faces():
                               [0.0, 0.0, -1.0], [0.0, SQ2, SQ2],
                               [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
                      offsets=[0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
-    assert dom._clips == [(0, 0.0, 2.0)]
+    assert dom._runs == [(slice(0, 1), 0.0, 2.0)]
     assert dom._faces == [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
                           [0.0, SQ2, SQ2]]
     assert len(dom._active_sets) == 6  # 3 single faces and 3 pairs
     px = dom.project(np.array([3.0, 2.0, 2.0]))
     np.testing.assert_allclose(px, [2.0, SQ2, SQ2], atol=1e-15)
     triangle = all_domains()[2]
-    assert triangle._clips == [] and len(triangle._faces) == 3
+    assert triangle._runs == [] and len(triangle._faces) == 3
+
+
+def signed_runs(runs):
+    """``runs`` with each bound as its hex string, so that zeros keep their
+    sign in a comparison."""
+    return [(cols, lo.hex(), hi.hex()) for cols, lo, hi in runs]
+
+
+@pytest.mark.parametrize("runs, expected", [
+    # Half-line: one bounded coordinate, so one run over all of them.
+    (HalfLine(0.0)._runs, [(Ellipsis, 0.0, np.inf)]),
+    # Quadrant: equal bounds on adjacent coordinates merge into one run.
+    (quadrant()._runs, [(Ellipsis, 0.0, np.inf)]),
+    # Three adjacent coordinates with three different bound pairs.
+    (Box([0.0, -1.0, -np.inf], [2.0, 0.0, 0.0])._runs,
+     [(slice(0, 1), 0.0, 2.0), (slice(1, 2), -1.0, 0.0),
+      (slice(2, 3), -np.inf, 0.0)]),
+    # Bounds that differ only in the sign of a zero are not bitwise equal,
+    # so they stay separate runs. A Box's faces turn both zeros into +0.0,
+    # so these runs are built from the bound arrays themselves.
+    (geometry._runs(np.array([0.0, -0.0]), np.array([1.0, 1.0])),
+     [(slice(0, 1), 0.0, 1.0), (slice(1, 2), -0.0, 1.0)]),
+    (geometry._runs(np.array([-1.0, -1.0]), np.array([0.0, -0.0])),
+     [(slice(0, 1), -1.0, 0.0), (slice(1, 2), -1.0, -0.0)]),
+], ids=["halfline", "quadrant", "box3d", "signed-lower", "signed-upper"])
+def test_runs_table(runs, expected):
+    assert signed_runs(runs) == signed_runs(expected)
 
 
 # A half-line or a box, and the polyhedron of the faces it is made of.
@@ -397,7 +424,8 @@ def test_clipped_zeros_keep_their_sign_whatever_the_batch(dom):
     rows = np.stack([dom.project(row) for row in flat]).reshape(x.shape)
     assert dom.project(x).tobytes() == rows.tobytes()
     assert dom.project(wide).tobytes() == rows.tobytes()
-    for j, lo, hi in dom._clips:
+    for j in np.flatnonzero(np.isfinite(dom._lower) | np.isfinite(dom._upper)):
+        lo, hi = dom._lower[j], dom._upper[j]
         on = flat[:, j] == 0.0
         assert np.array_equal(np.signbit(rows.reshape(flat.shape)[on, j]),
                               np.signbit(flat[on, j]))

@@ -95,6 +95,15 @@ def test_fit_rate_band_and_errors():
         fit_rate(tab, "n_cubed")
 
 
+def test_fit_rate_rejects_levels_where_the_regressor_vanishes():
+    # ln(n)/n is 0 at n = 1, whose log is -inf; 1/n is positive there.
+    n = np.array([1.0, 2.0, 4.0, 8.0])
+    tab = table_from(n, 1.0 / n)
+    with pytest.raises(ValueError, match=r"ln_n_over_n .* n = \[1\]"):
+        fit_rate(tab, "ln_n_over_n")
+    assert fit_rate(tab, "inverse_n").slope == pytest.approx(1.0)
+
+
 def test_monotone_decreasing_with_slack():
     tab = table_from([2, 4, 8, 16], [4.0, 3.0, 2.0, 1.0], stderr=0.0)
     assert monotone_decreasing(tab)
@@ -427,6 +436,47 @@ def test_sweep_non_finite_guard_names_first_bad_row():
         with pytest.raises(IntegrationError) as err:
             _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, 5,
                          "splitting", ref_steps=None, want_err=False,
+                         want_dist=True)
+    assert err.value.step_index == step
+    assert err.value.level == levels[li]
+    assert err.value.path_index == pi
+
+
+def test_sweep_non_finite_guard_names_first_bad_row_2d():
+    # The same on the quadrant, whose level states are (L, P, 2) views of
+    # (2, L, P) memory, with a 2x refined reference alongside. The drift
+    # explodes on states with a coordinate exactly at 0, except on the
+    # reference's (P, 2) batch, so only the deepest level blows up.
+    domain = Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]],
+                        offsets=[0.0, 0.0])
+
+    def drift(t, x):
+        hit = (x[..., 0] == 0.0) | (x[..., 1] == 0.0)
+        b = np.where(hit & (x.ndim != 2), np.inf, 0.0)
+        return (b, b)
+
+    coeffs = CoefficientField(name="explode-on-axes", dim=2,
+                              diffusion=lambda t, x: ((1.0, 0.0), (0.0, 1.0)),
+                              drift=drift)
+    grid = TimeGrid.from_log2(1.0, 4)
+    fine = TimeGrid.from_log2(1.0, 5)
+    x0 = np.array([0.25, 0.5])
+    levels = [4.0, 64.0, 16384.0]
+    num_paths = 6
+    first = []
+    with np.errstate(invalid="ignore"):
+        for li, n in enumerate(levels):
+            for pi in range(num_paths):
+                path = coarsen(sample_path(fine, 5, pi, 2), 2)
+                states = penalized_loop(domain, coeffs, path, x0, n)[0]
+                bad = ~np.isfinite(states).all(axis=-1)
+                if bad.any():
+                    first.append((int(np.argmax(bad)), li, pi))
+        step, li, pi = min(first)
+        assert li == 2 and pi > 0
+        with pytest.raises(IntegrationError, match="level n = 16384") as err:
+            _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, 5,
+                         "splitting", ref_steps=fine.steps, want_err=True,
                          want_dist=True)
     assert err.value.step_index == step
     assert err.value.level == levels[li]
