@@ -21,7 +21,9 @@ orthant has no remaining faces. For these it precomputes,
 for each linearly independent set of at most ``d`` faces, the inverse Gram
 matrix of its normals, and picks among these candidate active sets the KKT
 point of the projection problem: no iteration and no stopping rule. Points
-already inside any domain are returned bitwise unchanged.
+already inside any domain are returned bitwise unchanged. ``project`` and
+``row_norm_sq`` take a ufunc-style ``out`` that receives the bytes of the
+allocating call.
 """
 
 import itertools
@@ -50,8 +52,14 @@ class ConvexDomain:
 
     # -- operations ------------------------------------------------------
 
-    def project(self, x):
-        """Nearest point of the domain closure to ``x`` (shape ``(..., d)``)."""
+    def project(self, x, out=None):
+        """Nearest point of the domain closure to ``x`` (shape ``(..., d)``).
+
+        ``out``, as for a ufunc, is an array of ``x``'s shape that receives
+        the result and is returned, with the bytes the allocating call
+        returns; it must not overlap ``x``. Without it the result may be
+        ``x`` itself where every point is inside.
+        """
         raise NotImplementedError
 
     def distance(self, x):
@@ -141,10 +149,9 @@ class Polyhedron(ConvexDomain):
         # unlike matmul, so batched and single-point calls agree bitwise.
         return self.offsets - np.einsum("...d,md->...m", x, self.normals)
 
-    def project(self, x):
-        # Feasible points come back unchanged, possibly as ``x`` itself.
+    def project(self, x, out=None):
         return _project(self._check_point(x), self._runs, self._faces,
-                        self._bounds, self._active_sets)
+                        self._bounds, self._active_sets, out)
 
     def boundary_distance(self, x):
         margin = np.min(self.slack(x), axis=-1, initial=np.inf)
@@ -263,14 +270,15 @@ class Ball(ConvexDomain):
         r_sq = sum((d_j * d_j for d_j in delta[1:]), delta[0] * delta[0])
         return delta, np.sqrt(r_sq)
 
-    def project(self, x):
+    def project(self, x, out=None):
         x = self._check_point(x)
         delta, r = self._offsets(x)
         outside = r > self.radius
         if not np.any(outside):
-            return x
+            return x if out is None else _copy(x, out)
         scale = self.radius / np.where(outside, r, 1.0)
-        out = np.empty_like(x)
+        if out is None:
+            out = np.empty_like(x)
         for j, (c, d_j) in enumerate(zip(self.center, delta)):
             out[..., j] = np.where(outside, c + d_j * scale, x[..., j])
         return out
@@ -304,17 +312,18 @@ def row_norm(v):
     return np.sqrt(row_norm_sq(v))
 
 
-def row_norm_sq(v):
+def row_norm_sq(v, out=None):
     """Squared ``row_norm``: the column-order sum of squares it roots.
 
     A sweep keeps running maxima of these and roots them once at the end:
     ``sqrt`` is correctly rounded and monotone, so the root of a maximum is
-    the maximum of the roots, bit for bit.
+    the maximum of the roots, bit for bit. ``out``, an array of shape
+    ``v.shape[:-1]``, receives the sums as for a ufunc, with the same bits.
     """
-    out = v[..., 0] * v[..., 0]
+    sq = np.multiply(v[..., 0], v[..., 0], out=out)
     for j in range(1, v.shape[-1]):
-        out = out + v[..., j] * v[..., j]
-    return out
+        sq = np.add(sq, v[..., j] * v[..., j], out=out)
+    return sq
 
 
 def _split_faces(normals, offsets):
@@ -363,32 +372,39 @@ def _runs(lower, upper):
     return runs
 
 
-def _clip_columns(x, runs):
-    """``x`` with each run of columns clipped as one slab to its scalar
-    bounds, or ``x`` itself if there are none; a copy keeps its layout. Scalar
-    bounds keep a value inside them bit for bit, ``-0.0`` included, whatever
-    the batch; array bounds can return a zero bound's ``-0.0`` as ``+0.0``."""
-    if not runs:
-        return x
-    cols, lo, hi = runs[0]
-    if cols is Ellipsis:
-        return _clip(x, lo, hi)
-    out = np.copy(x)
-    for cols, lo, hi in runs:
-        out[..., cols] = _clip(x[..., cols], lo, hi)
+def _copy(x, out):
+    np.copyto(out, x)
     return out
 
 
-def _clip(col, lo, hi):
+def _clip_columns(x, runs, out=None):
+    """``x`` with each run of columns clipped as one slab to its scalar
+    bounds, or ``x`` itself if there are none; a copy keeps its layout. Scalar
+    bounds keep a value inside them bit for bit, ``-0.0`` included, whatever
+    the batch; array bounds can return a zero bound's ``-0.0`` as ``+0.0``.
+    With ``out`` the result is written there instead (see ``project``)."""
+    if not runs:
+        return x if out is None else _copy(x, out)
+    cols, lo, hi = runs[0]
+    if cols is Ellipsis:
+        return _clip(x, lo, hi, out)
+    out = np.copy(x) if out is None else _copy(x, out)
+    for cols, lo, hi in runs:
+        _clip(x[..., cols], lo, hi, out[..., cols])
+    return out
+
+
+def _clip(col, lo, hi, out=None):
     """``clip(col, lo, hi)`` in one ufunc call that keeps the memory order of
-    ``col``, a column or a slab. A one-sided bound goes through ``maximum`` or
-    ``minimum`` with the bound first, which gives ``clip``'s bits (a tie
-    keeps the column's ``-0.0``) without its Python wrapper."""
+    ``col``, a column or a slab, or writes into ``out``. A one-sided bound
+    goes through ``maximum`` or ``minimum`` with the bound first, which gives
+    ``clip``'s bits (a tie keeps the column's ``-0.0``) without its Python
+    wrapper."""
     if hi == math.inf:
-        return np.maximum(lo, col)
+        return np.maximum(lo, col, out=out)
     if lo == -math.inf:
-        return np.minimum(hi, col)
-    return np.clip(col, lo, hi)
+        return np.minimum(hi, col, out=out)
+    return np.clip(col, lo, hi, out=out)
 
 
 def _active_sets(normals, coupled):
@@ -439,7 +455,7 @@ def _combine(coeffs, terms):
     return out
 
 
-def _project(x, runs, faces, offsets, active_sets):
+def _project(x, runs, faces, offsets, active_sets, out=None):
     """Metric projection of ``x`` ``(..., d)`` onto a polyhedron.
 
     The polyhedron is the product of the intervals ``runs`` on its free
@@ -457,9 +473,11 @@ def _project(x, runs, faces, offsets, active_sets):
     them, so by weak duality the largest value marks the projection: no
     iteration and no feasibility tolerance. All operations act row by row
     on coordinate columns, so a point's result does not depend on its
-    batch; feasible points are returned bitwise unchanged.
+    batch; feasible points are returned bitwise unchanged, as ``x`` itself
+    unless ``out`` is given. With ``out`` the clips write into it, so ``x``
+    is ``out`` from then on, and the candidates scatter their points there.
     """
-    x = _clip_columns(x, runs)
+    x = _clip_columns(x, runs, out)
     if not faces:
         return x
     cols = [x[..., j] for j in range(x.shape[-1])]
@@ -497,7 +515,8 @@ def _project(x, runs, faces, offsets, active_sets):
                 p[j] = np.where(better, cols[j], p[j])
             else:
                 p[j] = np.where(better, cols[j] - q, p[j])
-    out = np.copy(x)  # scattered back by columns, in any layout
+    if out is None:
+        out = np.copy(x)  # scattered back by columns, in any layout
     for j, p_j in enumerate(p):
         out[..., j][outside] = p_j
     return out

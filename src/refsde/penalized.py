@@ -20,7 +20,9 @@ Their part ``x + sigma dW + h b`` is ``coefficients.euler_update``, summed
 per coordinate from the field's entries with no ``(..., d, d)`` matrix.
 The one step loop, ``rates._lockstep``, drives them: the sweeps with a
 ``(levels, paths, d)`` array, the per-path functions here with one level
-and one path, whose run they record.
+and one path, whose run they record. Like a ufunc, each kernel takes an
+``out`` for its new state; the loop passes the state itself, so every step
+writes in place with the bits of the allocating call.
 """
 
 from dataclasses import dataclass
@@ -47,18 +49,22 @@ class PenalizedTrajectory:
     level: float
 
 
-def euler_step(domain, coeffs, t, x, dw, h, level, *, penalty=True):
+def euler_step(domain, coeffs, t, x, dw, h, level, *, penalty=True,
+               out=None):
     """One explicit step; returns (next state, penalty increment).
 
     With ``penalty=False`` the increment is not computed and is None.
+    ``out``, as for a ufunc, receives the next state, with the same bits; it
+    may be ``x`` itself, which is read in full before it is written.
     """
     pen = (level * h) * (x - domain.project(x))
-    x_next = euler_update(coeffs, t, x, dw, h, base=x) - pen
+    x_next = np.subtract(euler_update(coeffs, t, x, dw, h, base=x), pen,
+                         out=out)
     return x_next, -pen if penalty else None
 
 
 def splitting_step(domain, coeffs, t, x, dw, h, level, *, decay=None,
-                   penalty=True):
+                   penalty=True, out=None):
     """Diffusion sub-step followed by exponential penalty relaxation.
 
     Returns (next state, penalty increment). The relaxation solves the
@@ -66,15 +72,18 @@ def splitting_step(domain, coeffs, t, x, dw, h, level, *, decay=None,
     projection onto a convex set is constant along the ray from the
     post-diffusion point ``y`` to its projection, so the flow stays on that
     ray and its gap to the anchor contracts by ``exp(-n h)``. ``decay`` is
-    that factor, ``np.exp(-level * h)``, when the caller has it already;
-    with ``penalty=False`` the increment is not computed and is None.
+    that factor, ``np.exp(-level * h)`` or the same values broadcast to the
+    state's shape, when the caller has it already; with ``penalty=False``
+    the increment is not computed and is None. ``out``, as for a ufunc,
+    receives the next state, with the same bits; it may be ``x`` itself,
+    which is read in full before it is written.
     """
     y = euler_update(coeffs, t, x, dw, h, base=x)
     p = domain.project(y)
     if decay is None:
         decay = np.exp(-level * h)
-    z = (y - p) * decay  # plus p in place: IEEE addition commutes
-    z += p
+    z = np.multiply(np.subtract(y, p, out=out), decay, out=out)
+    z += p  # in place: IEEE addition commutes
     return z, z - y if penalty else None
 
 
@@ -92,7 +101,8 @@ def _record(domain, coeffs, path, x0, level, scheme):
     """A one-path, one-level run of the sweep's step loop, recorded."""
     from .rates import _lockstep  # rates imports this module
     inc = path.increments[:, None]
-    run = [(x[0, 0], dk[0, 0]) for x, dk, _, _ in _lockstep(
+    # Copied: the next step overwrites the state the loop yields.
+    run = [(x[0, 0].copy(), dk[0, 0]) for x, dk, _, _ in _lockstep(
         domain, coeffs, x0, path.grid, [level], 1, scheme, None,
         [(inc, inc)], increments=True)]
     states, dk = map(np.array, zip(*run))

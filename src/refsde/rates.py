@@ -19,6 +19,12 @@ the ``(P, d)`` reference and the ``(steps, P, d)`` increment blocks are
 views of ``(d, L, P)``, ``(d, P)`` and ``(steps, d, P)`` memory, so every
 ``x[..., j]`` a kernel reads is one contiguous plane. The kernels'
 elementwise results keep that layout, with the bits of C-ordered arrays.
+The level states and the reference are one array each for the whole sweep:
+the kernels take them as ``out=`` and write each step's states in place,
+and the sweeps' gaps ``x - project(x)`` and ``x - x_ref`` go through one
+scratch array of the same layout. The splitting decay is expanded once to
+the full shape of the level states, so its per-step multiply is
+elementwise, with no broadcast.
 
 Errors are pooled as ``(mean over paths of sup^p)^(1/p)``; the bias of the
 root is accepted and the reported standard error is propagated to the same
@@ -269,13 +275,18 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     are the initial values, 0 and ``x0``, so their running sums are the
     penalty and the driver. The increments are computed only with
     ``increments=True``, which the per-path recorders set; otherwise ``dk``
-    and ``dy`` are None.
+    and ``dy`` are None. ``x`` and ``x_ref`` are the same two arrays at
+    every yield, and the next step overwrites them: a caller that keeps a
+    state copies it. The increments are fresh arrays.
 
-    Per grid step this computes the kernel's new states, the reference's
-    sub-steps, the asked-for increments and one ``_guard`` call per state
-    array. The splitting scheme's decay ``exp(-n h)`` is computed once per
-    sweep, with the kernel's own numpy call on the same ``(L, 1, 1)`` array,
-    so it has the bits a per-step evaluation had. A non-finite state raises
+    Per grid step this computes the kernel's new states, in place through
+    the kernels' ``out=``, the reference's sub-steps, the asked-for
+    increments and one ``_guard`` call per state array. The splitting
+    scheme's decay ``exp(-n h)`` is computed once per sweep, with the
+    kernel's own numpy call on the same ``(L, 1, 1)`` array, so it has the
+    bits a per-step evaluation had; it is then copied once to the full
+    shape and layout of ``x``, so that the kernel's multiply is
+    elementwise. A non-finite state raises
     ``IntegrationError`` naming its step and path (and level); each guard is
     one reduction over the whole array, and the exact test and the offending
     row's lookup run only when that reduction is not finite.
@@ -304,7 +315,6 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
         step = euler_step
     elif scheme == "splitting":
         step = splitting_step
-        kw["decay"] = np.exp(-level * h)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     factor = 1
@@ -320,7 +330,15 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
         d, len(levels), num_paths)).copy(), 0, -1)
     x_ref = (None if ref_steps is None else np.moveaxis(
         np.broadcast_to(x0[:, None], (d, num_paths)).copy(), 0, -1))
-    dk, dy = (np.zeros_like(x), x_ref) if increments else (None, None)
+    if scheme == "splitting":
+        # Expanded once to the states' shape and layout: the per-step
+        # multiply is then elementwise, with no broadcast.
+        kw["decay"] = np.empty_like(x)
+        kw["decay"][...] = np.exp(-level * h)
+    dk = dy = None
+    if increments:
+        dk = np.zeros_like(x)
+        dy = None if x_ref is None else x_ref.copy()
     yield x, dk, x_ref, dy
     k = 0
     for inc, inc_ref in blocks:
@@ -330,14 +348,15 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
             t = k * h
             if x_ref is not None:
                 for j in range(factor):
-                    x_ref, dy_j = projected_euler_step(
+                    _, dy_j = projected_euler_step(
                         domain, coeffs, t + j * h_ref, x_ref,
-                        inc_ref[i * factor + j], h_ref)
+                        inc_ref[i * factor + j], h_ref, out=x_ref)
                     _guard(x_ref, k * factor + j + 1)
                     if increments:
                         dy = dy_j if j == 0 else dy + dy_j
             if levels:
-                x, dk = step(domain, coeffs, t, x, inc[i], h, level, **kw)
+                _, dk = step(domain, coeffs, t, x, inc[i], h, level, out=x,
+                             **kw)
                 _guard(x, k + 1, levels)
             k += 1
             yield x, dk, x_ref, dy
@@ -397,22 +416,28 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     Per grid step, besides ``_lockstep``'s states, this computes only the
     squared distances ``row_norm_sq(x - project(x))`` and squared errors
     ``row_norm_sq(x - x_ref)`` asked for, and folds them into running
-    maxima; no penalty increments. The maxima are rooted once at the end,
-    which gives the bits of a per-step ``domain.distance`` and ``row_norm``
-    maximum.
+    maxima; no penalty increments. The gaps go through one scratch array in
+    the states' layout, which ``project`` writes as its ``out``, and their
+    squared norms through one ``(L, P)`` array. The maxima are rooted once
+    at the end, which gives the bits of a per-step ``domain.distance`` and
+    ``row_norm`` maximum.
     """
     blocks = _increment_blocks(grid, ref_steps, master_seed, num_paths,
                                domain.dim)
     shape = (len(levels), num_paths)
     sq_err = np.zeros(shape) if want_err else None
     sq_dist = np.zeros(shape) if want_dist else None
+    if want_err or want_dist:
+        gap = np.moveaxis(np.empty((domain.dim,) + shape), 0, -1)
+        sq = np.empty(shape)
     for x, _, x_ref, _ in _lockstep(domain, coeffs, x0, grid, levels,
                                     num_paths, scheme, ref_steps, blocks):
         if want_dist:
-            np.maximum(sq_dist, row_norm_sq(x - domain.project(x)),
-                       out=sq_dist)
+            np.subtract(x, domain.project(x, out=gap), out=gap)
+            np.maximum(sq_dist, row_norm_sq(gap, out=sq), out=sq_dist)
         if want_err:
-            np.maximum(sq_err, row_norm_sq(x - x_ref), out=sq_err)
+            np.subtract(x, x_ref, out=gap)
+            np.maximum(sq_err, row_norm_sq(gap, out=sq), out=sq_err)
     return {"sup_err": np.sqrt(sq_err) if want_err else None,
             "sup_dist": np.sqrt(sq_dist) if want_dist else None,
             "terminal": x.copy(order="C"),
@@ -471,11 +496,24 @@ def _pooled_norm(sups, p):
 
 
 def _tables(levels, sups, num_paths, p_list):
+    """One ``ErrorTable`` per p of the pooled norms of ``sups`` ``(L, P)``.
+
+    Raises ``RateFitError`` naming n and p where a pooled norm or its
+    standard error overflows; numpy's overflow warnings are silenced, since
+    the error says it.
+    """
     tables = {}
     for p in p_list:
         rows = []
         for i, n in enumerate(levels):
-            err, se = _pooled_norm(sups[i], p)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    err, se = _pooled_norm(sups[i], p)
+            except OverflowError:  # from math.pow
+                err = se = math.inf
+            if not (math.isfinite(err) and math.isfinite(se)):
+                raise RateFitError(
+                    f"the pooled error overflows at n = {n:g}, p = {p:g}")
             rows.append(ErrorRow(level=int(n), num_paths=num_paths,
                                  error=err, stderr=se, p=p))
         tables[p] = ErrorTable(rows=tuple(rows))

@@ -93,10 +93,14 @@ def skorokhod_map_halfline(driver, lower_bound, grid=None):
     )
 
 
-def projected_euler_step(domain, coeffs, t, x, dw, h):
-    """One projected Euler update; returns (next state, driver increment)."""
+def projected_euler_step(domain, coeffs, t, x, dw, h, *, out=None):
+    """One projected Euler update; returns (next state, driver increment).
+
+    ``out``, as for a ufunc, receives the next state, with the same bits; it
+    may be ``x`` itself, which is read in full before it is written.
+    """
     dy = euler_update(coeffs, t, x, dw, h)
-    return domain.project(x + dy), dy
+    return domain.project(x + dy, out=out), dy
 
 
 def projected_euler(domain, coeffs, path, x0):
@@ -109,8 +113,9 @@ def projected_euler(domain, coeffs, path, x0):
     """
     from .rates import _lockstep  # rates imports this module
     inc = path.increments[:, None]
-    # No levels, so the scheme is never used.
-    run = [(x[0], dy[0]) for _, _, x, dy in _lockstep(
+    # No levels, so the scheme is never used. The state is copied: the next
+    # step overwrites the one the loop yields.
+    run = [(x[0].copy(), dy[0]) for _, _, x, dy in _lockstep(
         domain, coeffs, x0, path.grid, [], 1, "splitting", path.grid.steps,
         [(inc, inc)], increments=True)]
     states, dy = map(np.array, zip(*run))

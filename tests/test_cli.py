@@ -280,6 +280,31 @@ def test_main_returns_3_when_a_level_has_zero_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_main_returns_3_when_a_pooled_norm_overflows(tmp_path, capsys):
+    # The strong errors reach about 6.7e32: their 8th powers are finite,
+    # but the squared deviations of the pooled mean overflow.
+    cfg = base_config(
+        domain={"type": "box", "lower": [-1e300, -1e300],
+                "upper": [1e300, 1e300]},
+        coefficients={"name": "gbm-box", "mu": 300.0, "sigma0": 0.3},
+        x0=[1.0, 1.0], log2_fine_steps=6, master_seed=1, num_paths=8,
+        n_list=[16, 32, 64, 128], p_list=[8])
+    path = write_config(tmp_path, cfg)
+    code = main(["strong-rate", "--config", path,
+                 "--out", str(tmp_path / "p8")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: the pooled error overflows at "
+                   "n = 16, p = 8\n")
+    # With p = 2 the same errors pool to a finite table.
+    path = write_config(tmp_path, dict(cfg, p_list=[2]), "p2.json")
+    assert main(["strong-rate", "--config", path,
+                 "--out", str(tmp_path / "p2")]) == 0
+    errors = np.loadtxt(tmp_path / "p2" / "errors.csv", delimiter=",",
+                        skiprows=1)[:, 3]
+    assert np.all((1e32 < errors) & (errors < 1e34))
+
+
 # -- experiment runs ----------------------------------------------------------------
 
 def test_validate_run(tmp_path):

@@ -6,6 +6,9 @@ every coordinate is one contiguous plane, and ``_sample_block`` fills its
 each element the same bits whatever the strides, so the projections and the
 step kernels must return, for coordinate-major inputs, the bytes they return
 for the same values in C order; and the layout must survive every step.
+The loop writes each step's states in place, through the ``out=`` forms of
+``project``, the kernels and ``row_norm_sq``, which must give the bytes of
+the allocating calls.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from refsde import rates
 from refsde.brownian import TimeGrid
 from refsde.coefficients import CoefficientField, make_coefficients
-from refsde.geometry import Ball, Box, HalfLine, Polyhedron
+from refsde.geometry import Ball, Box, HalfLine, Polyhedron, row_norm_sq
 from refsde.penalized import euler_step, splitting_step
 from refsde.reflected import projected_euler_step
 
@@ -93,6 +96,67 @@ def test_step_kernel_bytes_do_not_depend_on_the_layout(name):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def layouts(x):
+    """``x`` in coordinate-major and in C-ordered memory."""
+    return {"coordinate-major": x, "c-order": np.ascontiguousarray(x)}
+
+
+@pytest.mark.parametrize("layout", ["coordinate-major", "c-order"])
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_project_out_holds_the_bytes_of_the_allocating_call(name, layout):
+    dom = DOMAINS[name]
+    rng = np.random.default_rng(7 + len(name))
+    x = layouts(coordinate_major(rng, (9, 400, dom.dim), scale=1.5))[layout]
+    inside = dom.project(x)  # every point inside: the no-op path
+    for batch in (x, inside, x[4], x[4, 9]):
+        want = dom.project(batch).tobytes()
+        for buf in layouts(np.full_like(batch, np.nan)).values():
+            assert dom.project(batch, out=buf) is buf
+            assert buf.tobytes() == want
+
+
+@pytest.mark.parametrize("layout", ["coordinate-major", "c-order"])
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_step_kernels_out_match_the_allocating_calls(name, layout):
+    dom, coeffs = DOMAINS[ENTRIES[name]], make_coefficients(name)
+    rng = np.random.default_rng(60 + len(name))
+    x = layouts(coordinate_major(rng, (9, 400, dom.dim)))[layout]
+    dw = layouts(coordinate_major(rng, (400, dom.dim), scale=0.05))[layout]
+    level = np.array([16.0 * 2 ** k for k in range(9)])[:, None, None]
+    h, h_euler = 2.0 ** -10, 2.0 ** -14
+    decay = np.exp(-level * h)
+    full = np.empty_like(x)
+    full[...] = decay
+    calls = [
+        (lambda x, **kw: splitting_step(dom, coeffs, 0.5, x, dw, h, level,
+                                        **kw), x),
+        (lambda x, **kw: splitting_step(dom, coeffs, 0.5, x, dw, h, level,
+                                        decay=full, **kw), x),
+        (lambda x, **kw: euler_step(dom, coeffs, 0.5, x, dw, h_euler, level,
+                                    **kw), x),
+        (lambda x, **kw: projected_euler_step(dom, coeffs, 0.5, x, dw, h,
+                                              **kw), x[3]),
+    ]
+    for call, arg in calls:
+        want = [a.tobytes() for a in call(arg)]
+        buf = np.full_like(arg, np.nan)
+        state, inc = call(arg, out=buf)
+        assert state is buf and [buf.tobytes(), inc.tobytes()] == want
+        own = arg.copy(order="K")  # in place, as the step loop calls them
+        state, inc = call(own, out=own)
+        assert state is own and [own.tobytes(), inc.tobytes()] == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_row_norm_sq_out_matches_the_allocating_call(d):
+    v = coordinate_major(np.random.default_rng(d), (9, 400, d))
+    for batch in layouts(v).values():
+        want = row_norm_sq(batch).tobytes()
+        buf = np.full(batch.shape[:-1], np.nan)
+        assert row_norm_sq(batch, out=buf) is buf
+        assert buf.tobytes() == want
+
+
 def identity_field(dim):
     return CoefficientField(
         name="identity", dim=dim,
@@ -111,10 +175,14 @@ def test_lockstep_states_stay_coordinate_major(dom, coeffs):
     blocks = rates._increment_blocks(grid, 2 * grid.steps, 3, 50, dom.dim)
     run = rates._lockstep(dom, coeffs, x0, grid, [16, 64, 256], 50,
                           "splitting", 2 * grid.steps, blocks)
-    for _, (x, _, x_ref, _) in zip(range(4), run):  # time 0 and three steps
+    first = None
+    for x, _, x_ref, _ in run:
         assert x.shape == (3, 50, dom.dim) and x_ref.shape == (50, dom.dim)
         assert np.moveaxis(x, -1, 0).flags.c_contiguous
         assert np.moveaxis(x_ref, -1, 0).flags.c_contiguous
+        # Written in place: the same level and reference arrays every step.
+        first = first or (x, x_ref)
+        assert x is first[0] and x_ref is first[1]
     res = rates._sweep_paths(dom, coeffs, x0, grid, [16, 64, 256], 50, 3,
                              "splitting", 2 * grid.steps, want_err=True,
                              want_dist=True)

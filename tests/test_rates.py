@@ -9,7 +9,7 @@ from oracle import coarsen, penalized_loop, reference_loop
 from refsde.brownian import (TimeGrid, halve_increments, sample_increments,
                              sample_path)
 from refsde.coefficients import CoefficientField, make_coefficients
-from refsde.errors import IntegrationError
+from refsde.errors import IntegrationError, RateFitError
 from refsde.geometry import Ball, Box, HalfLine, Polyhedron, row_norm
 from refsde.penalized import splitting_penalized
 from refsde import rates
@@ -50,6 +50,25 @@ def test_error_table_validation():
         table_from([8, 16], [-1.0, 2.0])
     with pytest.raises(ValueError, match="finite"):
         table_from([8, 16], [1.0, 2.0], stderr=np.inf)
+
+
+@pytest.mark.parametrize("sups, p", [
+    ([6.69e32, 1.0], 8),   # finite powers whose squared deviations overflow
+    ([1e300, 1.0], 8),     # a power that overflows math.pow
+    ([1e200, 1.0], 2),     # a square that overflows numpy's power
+    ([np.inf, 1.0], 1),
+], ids=["variance", "math-pow", "square", "inf-sup"])
+def test_tables_raise_rate_fit_error_where_a_pooled_norm_overflows(sups, p):
+    # The first level stays finite; the second names itself and p, with
+    # no overflow warning on the way.
+    good = [1.0, 2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RateFitError, match=f"at n = 32, p = {p}$"):
+            rates._tables([16, 32], np.array([good, sups]), 2, [p])
+        table = rates._tables([16], np.array([good]), 2, [p])[p]
+    assert (table.rows[0].error, table.rows[0].stderr) == \
+        rates._pooled_norm(np.array(good), p)
 
 
 def test_fit_rate_recovers_exact_exponents():
@@ -279,8 +298,10 @@ def test_lockstep_computes_increments_only_when_asked():
             [16.0, 256.0], 3, "splitting", 4 * grid.steps)
 
     def run(increments):
+        # Snapshots: the next step overwrites the states the loop yields.
         blocks = rates._increment_blocks(grid, 4 * grid.steps, 11, 3, 1)
-        return list(rates._lockstep(*args, blocks, increments=increments))
+        return [(x.copy(), dk, x_ref.copy(), dy) for x, dk, x_ref, dy in
+                rates._lockstep(*args, blocks, increments=increments)]
 
     off, on = run(False), run(True)
     assert len(off) == len(on) == grid.steps + 1
