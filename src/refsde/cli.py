@@ -287,7 +287,10 @@ def run(config, out_dir):
                        scheme=config.scheme)
         summary = _rate_summary(config, tables)
         artifacts = {
-            "errors.csv": _rate_csv(tables),
+            "errors.csv": _csv("n,num_paths,p,error,stderr", [
+                [str(row.level), str(row.num_paths), _fmt(row.p),
+                 _fmt(row.error), _fmt(row.stderr)]
+                for p in sorted(tables) for row in tables[p].rows]),
             "rate_report.json": _json_bytes(summary),
         }
     else:
@@ -305,7 +308,9 @@ def run(config, out_dir):
             "decrease_factor": (first / last) if last > 0 else None,
         }
         artifacts = {
-            "errors.csv": _weak_csv(rows),
+            "errors.csv": _csv("n,num_paths,functional,value", [
+                [str(row.level), str(row.num_paths), row.functional,
+                 _fmt(row.value)] for row in rows]),
             "weak_report.json": _json_bytes(summary),
         }
 
@@ -369,8 +374,7 @@ def _rate_summary(config, tables):
         reports[_fmt(p)] = {
             "fits": fits,
             "primary_regressor": config.regressor,
-            "monotone_decreasing": bool(
-                np.all(np.diff(table.errors) < 0.0)),
+            "monotone_decreasing": monotone_decreasing(table, sigmas=0.0),
             "monotone_decreasing_2se": monotone_decreasing(table),
         }
     return {"per_p": reports, "n_list": list(config.n_list),
@@ -381,24 +385,10 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
-def _rate_csv(tables):
-    lines = ["n,num_paths,p,error,stderr"]
-    for p in sorted(tables):
-        for row in tables[p].rows:
-            lines.append(",".join([
-                str(row.level), str(row.num_paths), _fmt(row.p),
-                _fmt(row.error), _fmt(row.stderr),
-            ]))
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _weak_csv(rows):
-    lines = ["n,num_paths,functional,value"]
-    for row in rows:
-        lines.append(",".join([
-            str(row.level), str(row.num_paths), row.functional,
-            _fmt(row.value),
-        ]))
+def _csv(header, records):
+    """An ``errors.csv`` artifact: the header line, then one comma-joined
+    line per record of strings, each ending in a newline, UTF-8 encoded."""
+    lines = [header] + [",".join(fields) for fields in records]
     return ("\n".join(lines) + "\n").encode()
 
 

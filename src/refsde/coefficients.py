@@ -230,6 +230,37 @@ def _eval_field(field_, t, x):
     return sig, b
 
 
+def _probe(field_, quotient, constant, samples, box_radius, rng_seed, what):
+    """The sampled maximum of ``quotient(t, x, rng)``, its witness
+    ``(t, *points)`` (None if it passes) and the shared report fields.
+
+    One generator draws 16 times, then ``ceil(samples / 16)`` uniform
+    points ``x`` in the box per time, before ``quotient`` draws from it;
+    ``quotient`` returns the quotients and a tuple of the point arrays of
+    their rows. A constant of 0 is valid, for constant coefficients.
+    """
+    if constant < 0:
+        raise ValueError(f"{what} constant must be nonnegative")
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(rng_seed)
+    t_values = rng.uniform(0.0, 1.0, size=16)
+    per_t = -(-samples // len(t_values))
+    top, worst = -np.inf, None
+    for t in t_values:
+        x = rng.uniform(-box_radius, box_radius, size=(per_t, field_.dim))
+        q, points = quotient(float(t), x, rng)
+        k = int(np.argmax(q))
+        if q[k] > top:
+            top = float(q[k])
+            worst = (float(t),) + tuple(p[k].copy() for p in points)
+    passed = top <= constant * (1.0 + tol.COEFFICIENT_SLACK)
+    return top, None if passed else worst, dict(
+        passed=passed, constant=float(constant),
+        box_radius=float(box_radius), samples=samples)
+
+
 def check_linear_growth(field_, constant, samples=10_000, box_radius=10.0,
                         rng_seed=0):
     """Probe (|sigma|^2 + |b|^2) / (1 + |x|^2) on a sampled box.
@@ -237,32 +268,14 @@ def check_linear_growth(field_, constant, samples=10_000, box_radius=10.0,
     Passes when the sampled maximum is at most ``constant`` (with relative
     slack 1e-9). Time is sampled from a small set of values in [0, 1].
     """
-    if constant <= 0:
-        raise ValueError("growth constant must be positive")
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(rng_seed)
-    t_values = rng.uniform(0.0, 1.0, size=16)
-    per_t = -(-samples // len(t_values))
+    def quotient(t, x, rng):
+        sig, b = _eval_field(field_, t, x)
+        return (np.sum(sig ** 2, axis=(-2, -1)) + np.sum(b ** 2, axis=-1)) \
+            / (1.0 + np.sum(x ** 2, axis=-1)), (x,)
 
-    max_ratio = -np.inf
-    worst = None
-    for t in t_values:
-        x = rng.uniform(-box_radius, box_radius, size=(per_t, field_.dim))
-        sig, b = _eval_field(field_, float(t), x)
-        ratio = (np.sum(sig ** 2, axis=(-2, -1)) + np.sum(b ** 2, axis=-1)) \
-            / (1.0 + np.sum(x ** 2, axis=-1))
-        k = int(np.argmax(ratio))
-        if ratio[k] > max_ratio:
-            max_ratio = float(ratio[k])
-            worst = (float(t), x[k].copy())
-    passed = max_ratio <= constant * (1.0 + tol.COEFFICIENT_SLACK)
-    return GrowthReport(
-        passed=passed, max_ratio=max_ratio, constant=float(constant),
-        box_radius=float(box_radius), samples=samples,
-        violating_point=None if passed else worst,
-    )
+    top, worst, common = _probe(field_, quotient, constant, samples,
+                                box_radius, rng_seed, "growth")
+    return GrowthReport(max_ratio=top, violating_point=worst, **common)
 
 
 def check_lipschitz(field_, constant, samples=10_000, box_radius=10.0,
@@ -277,41 +290,24 @@ def check_lipschitz(field_, constant, samples=10_000, box_radius=10.0,
     constant far above the sampling resolution can pass spuriously; the
     report records the box and sample count that were actually probed.
     """
-    if constant <= 0:
-        raise ValueError("Lipschitz constant must be positive")
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(rng_seed)
-    t_values = rng.uniform(0.0, 1.0, size=16)
-    per_t = -(-samples // len(t_values))
     floor_sq = (1e-6 * box_radius) ** 2
 
-    max_quotient = -np.inf
-    worst = None
-    for t in t_values:
-        x = rng.uniform(-box_radius, box_radius, size=(per_t, field_.dim))
+    def quotient(t, x, rng):
         y = np.empty_like(x)
-        third = per_t // 3
+        third = len(x) // 3
         y[:third] = rng.uniform(-box_radius, box_radius, size=(third, field_.dim))
         y[third:2 * third] = x[third:2 * third] \
             + 1e-3 * box_radius * rng.standard_normal((third, field_.dim))
         y[2 * third:] = x[2 * third:] \
-            + 1e-5 * box_radius * rng.standard_normal((per_t - 2 * third, field_.dim))
+            + 1e-5 * box_radius * rng.standard_normal((len(x) - 2 * third, field_.dim))
         gap = np.sum((x - y) ** 2, axis=-1)
         keep = gap > floor_sq
         x, y, gap = x[keep], y[keep], gap[keep]
-        sig_x, b_x = _eval_field(field_, float(t), x)
-        sig_y, b_y = _eval_field(field_, float(t), y)
-        quot = (np.sum((sig_x - sig_y) ** 2, axis=(-2, -1))
-                + np.sum((b_x - b_y) ** 2, axis=-1)) / gap
-        k = int(np.argmax(quot))
-        if quot[k] > max_quotient:
-            max_quotient = float(quot[k])
-            worst = (float(t), x[k].copy(), y[k].copy())
-    passed = max_quotient <= constant * (1.0 + tol.COEFFICIENT_SLACK)
-    return LipschitzReport(
-        passed=passed, max_quotient=max_quotient, constant=float(constant),
-        box_radius=float(box_radius), samples=samples,
-        violating_pair=None if passed else worst,
-    )
+        sig_x, b_x = _eval_field(field_, t, x)
+        sig_y, b_y = _eval_field(field_, t, y)
+        return (np.sum((sig_x - sig_y) ** 2, axis=(-2, -1))
+                + np.sum((b_x - b_y) ** 2, axis=-1)) / gap, (x, y)
+
+    top, worst, common = _probe(field_, quotient, constant, samples,
+                                box_radius, rng_seed, "Lipschitz")
+    return LipschitzReport(max_quotient=top, violating_pair=worst, **common)

@@ -10,20 +10,10 @@ All operations accept a single point of shape ``(d,)`` or a batch of shape
 are immutable after construction and safe to share across workers; every
 operation is pure.
 
-Every projection is exact. The ball has a closed form. A polyhedron first
-splits off its *coordinate faces* (normal ``+e_j`` or ``-e_j``) on *free*
-coordinates, those that only coordinate faces touch: they are scalar
-bounds, and the polyhedron is the product of those intervals with the
-polyhedron of the remaining faces, which live in the orthogonal
-coordinates. So its projection clips each free coordinate to its bounds
-and projects the rest onto the remaining faces; a half-line, a box or an
-orthant has no remaining faces. For these it precomputes,
-for each linearly independent set of at most ``d`` faces, the inverse Gram
-matrix of its normals, and picks among these candidate active sets the KKT
-point of the projection problem: no iteration and no stopping rule. Points
-already inside any domain are returned bitwise unchanged. ``project`` and
-``row_norm_sq`` take a ufunc-style ``out`` that receives the bytes of the
-allocating call.
+Every projection is exact, with no iteration and no stopping rule: the
+ball has a closed form, and a polyhedron clips its coordinate faces as
+scalar bounds and picks the KKT point of the rest among precomputed active
+sets (see ``Polyhedron``, ``_split_faces`` and ``_project``).
 """
 
 import itertools
@@ -57,8 +47,8 @@ class ConvexDomain:
 
         ``out``, as for a ufunc, is an array of ``x``'s shape that receives
         the result and is returned, with the bytes the allocating call
-        returns; it must not overlap ``x``. Without it the result may be
-        ``x`` itself where every point is inside.
+        returns; it must not overlap ``x``. Points inside are returned
+        bitwise unchanged, without ``out`` as ``x`` itself if all are.
         """
         raise NotImplementedError
 
@@ -104,14 +94,13 @@ class Polyhedron(ConvexDomain):
 
     Construction validates that every normal has unit length (within
     ``UNIT_VECTOR_TOL``) and turns the coordinate faces on free
-    coordinates into per-coordinate bounds (see ``_split_faces``): the
-    polyhedron is the product of those intervals and the polyhedron of the
-    remaining faces, so a box or an orthant needs no active sets at all. It
-    precomputes the candidate active sets of the remaining faces (at most
-    ``MAX_ACTIVE_SETS``; see ``_project``) and checks that the feasible set
-    has nonempty interior by projecting the origin onto the polyhedron
-    shrunk by a geometric sweep of margins. Domains failing any check are
-    rejected with ``ValueError``. Without faces, the polyhedron is R^d.
+    coordinates into per-coordinate bounds (see ``_split_faces``), so a box
+    or an orthant needs no active sets at all. It precomputes the candidate
+    active sets of the remaining faces (at most ``MAX_ACTIVE_SETS``; see
+    ``_project``) and checks that the feasible set has nonempty interior by
+    projecting the origin onto the polyhedron shrunk by a geometric sweep of
+    margins. Domains failing any check are rejected with ``ValueError``.
+    Without faces, the polyhedron is R^d.
     """
 
     normals: np.ndarray

@@ -16,13 +16,10 @@ Both return the trajectory together with the accumulated penalty process
 (the running integral of the penalty drift) and the sup of the distance to
 the domain along the path. Step kernels are shape-agnostic over leading
 batch axes, and ``level`` may be an array that broadcasts against them.
-Their part ``x + sigma dW + h b`` is ``coefficients.euler_update``, summed
-per coordinate from the field's entries with no ``(..., d, d)`` matrix.
-The one step loop, ``rates._lockstep``, drives them: the sweeps with a
+Their part ``x + sigma dW + h b`` is ``coefficients.euler_update``. The
+one step loop, ``rates._lockstep``, drives them: the sweeps with a
 ``(levels, paths, d)`` array, the per-path functions here with one level
-and one path, whose run they record. Like a ufunc, each kernel takes an
-``out`` for its new state; the loop passes the state itself, so every step
-writes in place with the bits of the allocating call.
+and one path, whose run they record.
 """
 
 from dataclasses import dataclass

@@ -8,23 +8,13 @@ state array and advanced by one kernel call per grid step. This step loop,
 and ``reflected`` record one-path runs of it. Every operation acts row by
 row, so a path's result does not depend on which other paths or levels
 share the batch (a one-path run gives the bytes of its row in a sweep), and
-outputs are bitwise reproducible for a given configuration. The sweeps
-sample their increments in time blocks of at most ``_BLOCK_WORDS`` fine
-words or one grid step, whichever is larger, and only one block is alive
-at a time, so their memory does not grow with the number of steps.
+outputs are bitwise reproducible for a given configuration.
 
-Per grid step a sweep computes only what it keeps (see ``_lockstep`` and
-``_sweep_paths``), on coordinate-major memory: the ``(L, P, d)`` states,
-the ``(P, d)`` reference and the ``(steps, P, d)`` increment blocks are
-views of ``(d, L, P)``, ``(d, P)`` and ``(steps, d, P)`` memory, so every
-``x[..., j]`` a kernel reads is one contiguous plane. The kernels'
-elementwise results keep that layout, with the bits of C-ordered arrays.
-The level states and the reference are one array each for the whole sweep:
-the kernels take them as ``out=`` and write each step's states in place,
-and the sweeps' gaps ``x - project(x)`` and ``x - x_ref`` go through one
-scratch array of the same layout. The splitting decay is expanded once to
-the full shape of the level states, so its per-step multiply is
-elementwise, with no broadcast.
+Per grid step a sweep computes only what it keeps, on coordinate-major
+states that the kernels write in place, and it samples its increments one
+time block at a time, so its memory does not grow with the number of
+steps: ``_lockstep``, ``_increment_blocks`` and ``_sweep_paths`` state the
+layouts, the buffers and the per-step work.
 
 Errors are pooled as ``(mean over paths of sup^p)^(1/p)``; the bias of the
 root is accepted and the reported standard error is propagated to the same
@@ -267,7 +257,10 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     sub-steps per grid step on its ``(P, d)`` states; ``levels`` may then be
     empty. ``blocks`` yields time-major increments: ``(s, P, d)`` for the
     levels' next ``s`` steps and ``(s * factor, P, d)`` for the reference.
-    The states are coordinate-major (see the module docstring).
+    The states are coordinate-major, views of ``(d, L, P)`` and ``(d, P)``
+    memory, so every ``x[..., j]`` a kernel reads is one contiguous plane;
+    the kernels' elementwise results keep that layout, with the bits of
+    C-ordered arrays.
 
     Yields ``(x, dk, x_ref, dy)`` at every grid time: the level states with
     the step's penalty increments, and the reference state (None without
@@ -286,10 +279,8 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     kernel's own numpy call on the same ``(L, 1, 1)`` array, so it has the
     bits a per-step evaluation had; it is then copied once to the full
     shape and layout of ``x``, so that the kernel's multiply is
-    elementwise. A non-finite state raises
-    ``IntegrationError`` naming its step and path (and level); each guard is
-    one reduction over the whole array, and the exact test and the offending
-    row's lookup run only when that reduction is not finite.
+    elementwise. A non-finite state raises ``IntegrationError`` (see
+    ``_guard``).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.dim,):
@@ -331,8 +322,6 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     x_ref = (None if ref_steps is None else np.moveaxis(
         np.broadcast_to(x0[:, None], (d, num_paths)).copy(), 0, -1))
     if scheme == "splitting":
-        # Expanded once to the states' shape and layout: the per-step
-        # multiply is then elementwise, with no broadcast.
         kw["decay"] = np.empty_like(x)
         kw["decay"][...] = np.exp(-level * h)
     dk = dy = None

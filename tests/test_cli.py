@@ -372,6 +372,22 @@ def test_validate_report_bytes_are_pinned(tmp_path, name):
         assert rep.max_quotient.hex() == lipschitz
 
 
+@pytest.mark.parametrize("name, params", [
+    ("ou1d", {"kappa": 0.0}), ("gbm-box", {"mu": 0.0, "sigma0": 0.0})])
+def test_validate_accepts_declared_constants_of_zero(tmp_path, name, params):
+    # Constant coefficients: every sampled quotient is 0, as is the constant.
+    domain, x0 = VALIDATE_PINS[name][:2]
+    cfg = {"domain": domain, "coefficients": {"name": name, **params},
+           "x0": x0, "horizon_T": 1.0, "log2_fine_steps": 8,
+           "master_seed": 7, "num_paths": 4}
+    out = tmp_path / "out"
+    assert main(["validate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "validation_report.json").read_text())
+    assert report["passed"] is True
+    assert "lipschitz" in [c["name"] for c in report["checks"]]
+
+
 def test_dist_rate_artifacts(tmp_path):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"

@@ -195,12 +195,72 @@ def test_catalog_parameter_overrides():
         make_coefficients("bm3d")
 
 
+# A failing probe's maximum and witness, bit for bit, at the default
+# samples and box: (name, constant, seed, maximum, t, x) for growth and
+# (..., t, x, y) for Lipschitz. They pin the order of the random draws.
+FAILING_GROWTH = [
+    ("quadrant2d", 1.0, 5, "0x1.254cbd1305303p+1", "0x1.b9cce15f58420p-5",
+     ["0x1.ccb47dca8f380p-3", "0x1.6dd9954b48780p-3"]),
+    ("gbm-box", 0.05, 5, "0x1.78f9a5f4c5da3p-4", "0x1.f2c8886086c71p-1",
+     ["0x1.3f3183c108d46p+3", "0x1.3d72408a9b308p+3"]),
+]
+FAILING_LIPSCHITZ = [
+    ("schmidt1d", 1000.0, 5, "0x1.f7f8ec9622e55p+26", "0x1.b03f0cf1986aap-1",
+     ["0x1.fff93fd500050p-1"], ["0x1.0002538f0b896p+0"]),
+    ("quadrant2d", 0.05, 5, "0x1.fff34803e9fd3p-3", "0x1.8891da151c980p-2",
+     ["0x1.01ce39e5696e2p+3", "-0x1.2d0a5a73ac57fp+2"],
+     ["0x1.01ce36f57bcb5p+3", "-0x1.2d09738339f0cp+2"]),
+]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name, constant, seed, top, t, x", FAILING_GROWTH)
+def test_failing_growth_witness_bits_are_pinned(name, constant, seed, top, t,
+                                                x):
+    rep = check_linear_growth(make_coefficients(name), constant,
+                              rng_seed=seed)
+    assert not rep.passed and rep.max_ratio.hex() == top
+    assert (rep.constant, rep.box_radius, rep.samples) == (constant, 10.0,
+                                                           10_000)
+    assert rep.violating_point[0].hex() == t
+    assert hexes(rep.violating_point[1]) == x
+
+
+@pytest.mark.parametrize("name, constant, seed, top, t, x, y",
+                         FAILING_LIPSCHITZ)
+def test_failing_lipschitz_witness_bits_are_pinned(name, constant, seed, top,
+                                                   t, x, y):
+    rep = check_lipschitz(make_coefficients(name), constant, rng_seed=seed)
+    assert not rep.passed and rep.max_quotient.hex() == top
+    assert (rep.constant, rep.box_radius, rep.samples) == (constant, 10.0,
+                                                           10_000)
+    assert rep.violating_pair[0].hex() == t
+    assert hexes(rep.violating_pair[1]) == x
+    assert hexes(rep.violating_pair[2]) == y
+
+
 def test_diagnostics_validate_inputs():
     f = make_coefficients("ou1d")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         check_linear_growth(f, -1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_lipschitz(f, -1.0)
     with pytest.raises(ValueError):
         check_lipschitz(f, 1.0, samples=0)
+
+
+def test_diagnostics_accept_a_constant_of_zero():
+    # Constant coefficients: the quotients are all 0, and so is the constant.
+    assert check_lipschitz(make_coefficients("ou1d", kappa=0), 0.0).passed
+    field = make_coefficients("gbm-box", mu=0.0, sigma0=0.0)
+    assert field.growth_constant == field.lipschitz_constant == 0.0
+    assert check_linear_growth(field, 0.0).max_ratio == 0.0
+    assert check_lipschitz(field, 0.0).passed
+    rep = check_linear_growth(make_coefficients("ou1d"), 0.0)
+    assert not rep.passed and rep.violating_point is not None
 
 
 # -- Euler update -------------------------------------------------------------
