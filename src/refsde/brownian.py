@@ -8,7 +8,9 @@ and counter: paths are generable independently, in parallel, and in any
 order, and the same ``(master_seed, path_index, grid)`` always reproduces
 the same increments bitwise. Because the stream depends on nothing but key
 and counter, one generator per call is re-keyed for each path, which gives
-the words a fresh generator would; no entropy is ever drawn.
+the words a fresh generator would; no entropy is ever drawn. So a call of
+``sample_increments`` is pipelined with the same bits: a helper thread runs
+the inverse CDF on one tile of paths while the caller draws the next tile.
 
 ``halve_increments`` forms block sums over a fixed dyadic tree (repeated
 pairwise halving), so halving by 2 twice equals halving by 4 bitwise. A
@@ -26,6 +28,8 @@ __all__ = ["TimeGrid", "BrownianPath", "sample_path", "sample_increments"]
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
+# Paths per tile of the ``sample_increments`` pipeline; no bit depends on it.
+_TILE_PATHS = 32
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ def sample_path(grid, master_seed, path_index, dim=1):
 
 
 def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
-                      step_hi=None):
+                      step_hi=None, out=None):
     """Increments for several paths at once, shape (len(paths), steps, d).
 
     Row p is bitwise identical to the corresponding slice of
@@ -89,8 +93,9 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
     is a pure function of the arguments: one Philox generator is re-keyed
     to ``(master_seed, p)`` for each path, with its counter at the range's
     first 4-word block and an empty buffer, so no state passes between
-    paths or calls. The uniform and normal transforms run in place on one
-    C-contiguous float64 buffer, which is returned.
+    paths or calls. Past one tile of ``_TILE_PATHS`` paths, one helper thread
+    runs the inverse CDF of a tile while this thread draws the next, and is
+    joined before the return. The result is ``out`` (any layout) or a C array.
     """
     master_seed = int(master_seed)
     if not 0 <= master_seed <= _MASK64:
@@ -105,10 +110,13 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
     if not 0 <= step_lo <= step_hi <= grid.steps:
         raise ValueError("invalid step range")
     n_steps = step_hi - step_lo
-    word_lo = step_lo * dim
+    shape = (len(idx), n_steps, dim)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, not {out.shape}")
     count = n_steps * dim
-    block, offset = divmod(word_lo, 4)
-    raw = np.empty((len(idx), count), dtype=np.uint64)
+    block, offset = divmod(step_lo * dim, 4)
     key = np.array([master_seed, 0], dtype=_U64)
     state = {"bit_generator": "Philox",
              "state": {"counter": np.array([block, 0, 0, 0], dtype=_U64),
@@ -116,19 +124,39 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
              "buffer": np.zeros(4, dtype=_U64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     gen = np.random.Philox(0)  # a fixed seed: the state below replaces it
-    for row, p in enumerate(idx):
-        key[1] = p
-        gen.state = state
-        raw[row] = gen.random_raw(offset + count)[offset:]
-    # 53-bit mantissa uniform in (0, 1), then inverse normal CDF.
-    raw >>= _U64(11)
-    z = raw.astype(np.float64)
-    del raw
-    z += 0.5
-    z *= 2.0 ** -53
-    ndtri(z, out=z)
-    z *= np.sqrt(grid.step)
-    return z.reshape(len(idx), n_steps, dim)
+
+    def uniforms(paths):
+        raw = np.empty((len(paths), count), dtype=_U64)
+        for row, p in enumerate(paths):
+            key[1] = p
+            gen.state = state
+            raw[row] = gen.random_raw(offset + count)[offset:]
+        # 53-bit mantissa uniform in (0, 1), for the inverse normal CDF.
+        raw >>= _U64(11)
+        z = raw.astype(np.float64)
+        z += 0.5
+        z *= 2.0 ** -53
+        return z
+
+    def store(p0, z):
+        z *= np.sqrt(grid.step)
+        out[p0:p0 + len(z)] = z.reshape(len(z), n_steps, dim)
+
+    if len(idx) <= _TILE_PATHS:
+        z = uniforms(idx)
+        store(0, ndtri(z, out=z))
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = None
+        for p0 in range(0, len(idx), _TILE_PATHS):
+            z = uniforms(idx[p0:p0 + _TILE_PATHS])
+            job = p0, helper.submit(ndtri, z, out=z)
+            if pending:
+                store(pending[0], pending[1].result())
+            pending = job
+        store(pending[0], pending[1].result())
+    return out
 
 
 def halve_increments(increments, factor):

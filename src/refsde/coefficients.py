@@ -237,7 +237,7 @@ def _probe(field_, quotient, constant, samples, box_radius, rng_seed, what):
     One generator draws 16 times, then ``ceil(samples / 16)`` uniform
     points ``x`` in the box per time, before ``quotient`` draws from it;
     ``quotient`` returns the quotients and a tuple of the point arrays of
-    their rows. A constant of 0 is valid, for constant coefficients.
+    their rows, if any. A constant of 0 is valid, for constant coefficients.
     """
     if constant < 0:
         raise ValueError(f"{what} constant must be nonnegative")
@@ -247,14 +247,19 @@ def _probe(field_, quotient, constant, samples, box_radius, rng_seed, what):
     rng = np.random.default_rng(rng_seed)
     t_values = rng.uniform(0.0, 1.0, size=16)
     per_t = -(-samples // len(t_values))
-    top, worst = -np.inf, None
+    top, worst, kept = -np.inf, None, 0
     for t in t_values:
         x = rng.uniform(-box_radius, box_radius, size=(per_t, field_.dim))
         q, points = quotient(float(t), x, rng)
+        kept += q.size
+        if not q.size:
+            continue
         k = int(np.argmax(q))
         if q[k] > top:
             top = float(q[k])
             worst = (float(t),) + tuple(p[k].copy() for p in points)
+    if not kept:
+        raise ValueError(f"no {what} pair above the 1e-6 * box_radius floor")
     passed = top <= constant * (1.0 + tol.COEFFICIENT_SLACK)
     return top, None if passed else worst, dict(
         passed=passed, constant=float(constant),

@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import TimeGrid, halve_increments, sample_increments
+from .brownian import (_TILE_PATHS, TimeGrid, halve_increments,
+                       sample_increments)
 from .errors import IntegrationError, RateFitError
 from .geometry import row_norm, row_norm_sq
 from .penalized import euler_step, splitting_step
@@ -233,9 +234,6 @@ def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
 
 # Fine increment words (paths x steps x d) sampled per time block.
 _BLOCK_WORDS = 2 ** 20
-# Paths sampled per call while a block is filled: the tile's
-# (paths, steps, d) samples are the only copy besides the block itself.
-_TILE_PATHS = 32
 
 
 @dataclass(frozen=True)
@@ -360,11 +358,11 @@ def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
     reads a contiguous ``(P, d)`` slab, one plane per coordinate. A block is
     as many whole coarse steps as fit in ``_BLOCK_WORDS`` fine words, and at
     least one, so the sums match a whole-path generation bitwise. It is
-    filled in place one tile of ``_TILE_PATHS`` paths at a time, and
-    ``_lockstep`` drops it before the next is sampled. So the increments
-    take one block of at most ``max(_BLOCK_WORDS, P * d * factor)`` fine
-    words (8 MiB unless a coarse step alone is larger), its sums and one
-    tile, however many steps there are."""
+    filled in place by one ``sample_increments`` call, and ``_lockstep``
+    drops it before the next is sampled. So the increments take one block
+    of at most ``max(_BLOCK_WORDS, P * d * factor)`` fine words (8 MiB
+    unless a coarse step alone is larger), its sums and two sampling tiles
+    of ``_TILE_PATHS`` paths, however many steps there are."""
     m = grid.steps
     finest = TimeGrid(grid.horizon, ref_steps or m)
     factor = finest.steps // m
@@ -377,19 +375,18 @@ def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
 
 
 def _sample_block(finest, master_seed, num_paths, d, factor, b0, b1):
-    """The time-major pair of ``_increment_blocks`` for coarse steps
-    ``b0:b1``, in ``(steps, d, P)`` memory, filled one tile at a time."""
-    inc = np.empty((b1 - b0, d, num_paths)).transpose(0, 2, 1)
-    inc_f = inc if factor == 1 else np.empty(
-        ((b1 - b0) * factor, d, num_paths)).transpose(0, 2, 1)
+    """The pair of ``_increment_blocks`` for coarse steps ``b0:b1``, from
+    one ``sample_increments`` call; the sums are taken one tile at a time."""
+    fine = np.empty(((b1 - b0) * factor, d, num_paths)).transpose(2, 0, 1)
+    sample_increments(finest, master_seed, range(num_paths), d,
+                      step_lo=b0 * factor, step_hi=b1 * factor, out=fine)
+    if factor == 1:
+        return (fine.transpose(1, 0, 2),) * 2
+    coarse = np.empty((b1 - b0, d, num_paths)).transpose(2, 0, 1)
     for p0 in range(0, num_paths, _TILE_PATHS):
-        p1 = min(p0 + _TILE_PATHS, num_paths)
-        tile = sample_increments(finest, master_seed, range(p0, p1), d,
-                                 step_lo=b0 * factor, step_hi=b1 * factor)
-        if factor > 1:
-            inc_f[:, p0:p1] = tile.transpose(1, 0, 2)
-        inc[:, p0:p1] = halve_increments(tile, factor).transpose(1, 0, 2)
-    return inc, inc_f
+        tile = slice(p0, p0 + _TILE_PATHS)
+        coarse[tile] = halve_increments(fine[tile], factor)
+    return coarse.transpose(1, 0, 2), fine.transpose(1, 0, 2)
 
 
 def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,

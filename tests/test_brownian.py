@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
+from refsde import brownian
 from refsde.brownian import (
     BrownianPath,
     TimeGrid,
@@ -82,6 +85,79 @@ def test_sampler_matches_fresh_philox_per_path(dim):
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+_TILE = brownian._TILE_PATHS
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("num_paths", [1, _TILE - 1, _TILE + 1, 2 * _TILE + 3])
+def test_sampler_out_gives_the_allocating_bytes(num_paths, dim):
+    # ``out`` C-ordered and as the (P, steps, d) view of (steps, d, P)
+    # memory that a sweep block passes; step 5 starts at word 5 * dim,
+    # which is not a multiple of 4 for any of these dims.
+    g = TimeGrid(1.0, 64)
+    paths = range(3, 3 + num_paths)
+    want = sample_increments(g, 29, paths, dim, step_lo=5, step_hi=31)
+    shape = (num_paths, 26, dim)
+    for out in (np.empty(shape), np.empty((26, dim, num_paths)).transpose(
+            2, 0, 1)):
+        got = sample_increments(g, 29, paths, dim, step_lo=5, step_hi=31,
+                                out=out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        sample_increments(g, 29, paths, dim, step_lo=5, step_hi=31,
+                          out=np.empty((num_paths, 26, dim + 1)))
+
+
+@pytest.mark.parametrize("tile", [1, 3, 32])
+def test_sampler_bytes_do_not_depend_on_the_tile(monkeypatch, tile):
+    g = TimeGrid(1.0, 64)
+    paths = [70, 0, 5, 2, 9, 64, 1]
+    want = fresh_philox_increments(g, 41, paths, 3, 3, 50)
+    monkeypatch.setattr(brownian, "_TILE_PATHS", tile)
+    got = sample_increments(g, 41, paths, 3, step_lo=3, step_hi=50)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_concurrent_pipelined_calls_keep_their_bits(monkeypatch):
+    # Four callers, each with its own helper, on two cores, one path per
+    # tile and a short switch interval: every hand-off of a tile between a
+    # caller and its helper happens often and interleaved with the others.
+    g = TimeGrid(1.0, 64)
+    paths = list(range(9))
+    want = {seed: fresh_philox_increments(g, seed, paths, 2, 1, 40).tobytes()
+            for seed in range(4)}
+    monkeypatch.setattr(brownian, "_TILE_PATHS", 1)
+    got = {}
+
+    def caller(seed):
+        for _ in range(20):
+            inc = sample_increments(g, seed, paths, 2, step_lo=1, step_hi=40)
+            got.setdefault(seed, set()).add(inc.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(seed,))
+                   for seed in want]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {seed: {b} for seed, b in want.items()}
+
+
+def test_sampler_joins_its_helper_thread():
+    # Three tiles, so the call runs its helper; none is left once it returns.
+    before = threading.active_count()
+    sample_increments(TimeGrid(1.0, 256), 3, range(2 * _TILE + 1), 2)
+    assert threading.active_count() == before
 
 
 def test_pooled_moments_within_clt_bands():

@@ -465,3 +465,24 @@ def test_config_path_imports_neither_scipy_optimize_nor_stats():
         [sys.executable, "-c", _CONFIG_IMPORT_PROBE, *map(str, configs)],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     assert json.loads(out.stdout) == []
+
+
+_IMPORT_THREADS_PROBE = """
+import json, sys, threading
+import refsde.cli
+print(json.dumps(["concurrent.futures.thread" in sys.modules,
+                  threading.active_count()]))
+"""
+
+
+def test_cli_import_starts_no_thread_and_no_thread_pool_module():
+    # The sampler imports its thread pool inside the call that needs it, so
+    # that importing the CLI, which start-up time pays for, neither loads
+    # ``concurrent.futures.thread`` nor starts a thread.
+    src = str(Path(refsde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_THREADS_PROBE],
+                         capture_output=True, text=True, env=env, timeout=120,
+                         check=True)
+    assert json.loads(out.stdout) == [False, 1]

@@ -252,6 +252,20 @@ def test_diagnostics_validate_inputs():
         check_lipschitz(f, 1.0, samples=0)
 
 
+def test_lipschitz_skips_sampled_times_without_a_kept_pair():
+    # With 16 samples each time has one pair, a 1e-5 perturbation, which is
+    # dropped when its normal is below 0.1 in size: 144 of these 200 seeds
+    # have such a time. It is skipped, and ou1d's quotient is exactly 1.
+    f = make_coefficients("ou1d")
+    for seed in range(200):
+        rep = check_lipschitz(f, 1.0, samples=16, rng_seed=seed)
+        assert rep.passed and rep.max_quotient == 1.0
+    # Only when every pair is closer than the 1e-6 * box_radius floor (here
+    # the floor and the gaps both underflow to 0) is there nothing to report.
+    with pytest.raises(ValueError, match=r"1e-6 \* box_radius floor"):
+        check_lipschitz(f, 1.0, samples=1, box_radius=1e-200)
+
+
 def test_diagnostics_accept_a_constant_of_zero():
     # Constant coefficients: the quotients are all 0, and so is the constant.
     assert check_lipschitz(make_coefficients("ou1d", kappa=0), 0.0).passed
