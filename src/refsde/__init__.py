@@ -17,9 +17,9 @@ from .geometry import Ball, Box, ConvexDomain, HalfLine, Polyhedron, \
     domain_from_spec, sample_points
 from .penalized import PenalizedTrajectory, euler_penalized, \
     splitting_penalized
-from .rates import ErrorRow, ErrorTable, RateReport, WeakRow, \
-    boundary_distance_sweep, brownian_modulus_table, fit_rate, \
-    monotone_decreasing, strong_error_sweep, weak_compare
+from .rates import ErrorRow, ErrorTable, RateReport, SweepResult, WeakRow, \
+    boundary_distance_sweep, brownian_modulus_table, error_tables, fit_rate, \
+    monotone_decreasing, strong_error_sweep, weak_compare, weak_rows
 from .reflected import ReflectedTrajectory, SkorokhodReport, projected_euler, \
     skorokhod_map_halfline, verify_skorokhod
 
@@ -32,9 +32,10 @@ __all__ = [
     "Ball", "Box", "ConvexDomain", "HalfLine", "Polyhedron",
     "domain_from_spec", "sample_points",
     "PenalizedTrajectory", "euler_penalized", "splitting_penalized",
-    "ErrorRow", "ErrorTable", "RateReport", "WeakRow",
-    "boundary_distance_sweep", "brownian_modulus_table", "fit_rate",
-    "monotone_decreasing", "strong_error_sweep", "weak_compare",
+    "ErrorRow", "ErrorTable", "RateReport", "SweepResult", "WeakRow",
+    "boundary_distance_sweep", "brownian_modulus_table", "error_tables",
+    "fit_rate", "monotone_decreasing", "strong_error_sweep", "weak_compare",
+    "weak_rows",
     "ReflectedTrajectory", "SkorokhodReport", "projected_euler",
     "skorokhod_map_halfline", "verify_skorokhod",
 ]

@@ -44,7 +44,7 @@ class TimeGrid:
         if not (np.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be positive and finite")
         m = int(self.steps)
-        if m < 1 or (m & (m - 1)) != 0:
+        if m != self.steps or m < 1 or (m & (m - 1)) != 0:
             raise ValueError("steps must be a power of two")
         object.__setattr__(self, "steps", m)
         if abs(self.step * m - self.horizon) > 1e-12 * self.horizon:

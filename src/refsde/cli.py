@@ -27,7 +27,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -39,7 +38,8 @@ from .coefficients import check_linear_growth, check_lipschitz, \
 from .errors import ConfigError, IntegrationError, RateFitError
 from .geometry import Ball, domain_from_spec, row_norm, sample_points
 from .rates import REGRESSORS, WEAK_FUNCTIONALS, boundary_distance_sweep, \
-    fit_rate, monotone_decreasing, strong_error_sweep, weak_compare
+    error_tables, fit_rate, monotone_decreasing, strong_error_sweep, \
+    weak_compare, weak_rows
 from . import tolerances as tol
 
 _COMMON_KEYS = {"kind", "domain", "coefficients", "x0", "horizon_T",
@@ -273,46 +273,45 @@ def run(config, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     if config.kind == "validate":
         summary = _run_validate(config)
-        artifacts = {
-            "validation_report.json": _json_bytes(summary),
-        }
-    elif config.kind in ("dist-rate", "strong-rate"):
-        # Looked up per call, so a wrapper installed on these names runs.
-        sweep = (boundary_distance_sweep if config.kind == "dist-rate"
-                 else partial(strong_error_sweep,
-                              reference_steps=config.reference_steps))
-        tables = sweep(config.domain, config.coefficients, config.x0,
-                       config.grid, config.n_list, config.num_paths,
-                       config.master_seed, p_list=config.p_list,
-                       scheme=config.scheme)
-        summary = _rate_summary(config, tables)
-        artifacts = {
-            "errors.csv": _csv("n,num_paths,p,error,stderr", [
-                [str(row.level), str(row.num_paths), _fmt(row.p),
-                 _fmt(row.error), _fmt(row.stderr)]
-                for p in sorted(tables) for row in tables[p].rows]),
-            "rate_report.json": _json_bytes(summary),
-        }
+        artifacts = {"validation_report.json": _json_bytes(summary)}
     else:
-        rows = weak_compare(
-            config.domain, config.coefficients, config.n_list, config.grid,
-            config.num_paths, config.functional, config.x0,
-            config.master_seed, scheme=config.scheme,
-            reference_steps=config.reference_steps)
-        first, last = rows[0].value, rows[-1].value
-        summary = {
-            "functional": config.functional,
-            "values": {str(r.level): r.value for r in rows},
-            "first_level_value": first,
-            "last_level_value": last,
-            "decrease_factor": (first / last) if last > 0 else None,
-        }
-        artifacts = {
-            "errors.csv": _csv("n,num_paths,functional,value", [
-                [str(row.level), str(row.num_paths), row.functional,
-                 _fmt(row.value)] for row in rows]),
-            "weak_report.json": _json_bytes(summary),
-        }
+        # Looked up per call, so a wrapper installed on these names runs.
+        sweep = {"dist-rate": boundary_distance_sweep,
+                 "strong-rate": strong_error_sweep,
+                 "weak-compare": weak_compare}[config.kind]
+        ref = ({} if config.kind == "dist-rate"
+               else {"reference_steps": config.reference_steps})
+        result = sweep(config.domain, config.coefficients, config.x0,
+                       config.grid, config.n_list, config.num_paths,
+                       config.master_seed, scheme=config.scheme, **ref)
+        if config.kind == "weak-compare":
+            rows = weak_rows(result, config.functional)
+            first, last = rows[0].value, rows[-1].value
+            summary = {
+                "functional": config.functional,
+                "values": {str(r.level): r.value for r in rows},
+                "first_level_value": first,
+                "last_level_value": last,
+                "decrease_factor": (first / last) if last > 0 else None,
+            }
+            artifacts = {
+                "errors.csv": _csv("n,num_paths,functional,value", [
+                    [str(row.level), str(row.num_paths), row.functional,
+                     _fmt(row.value)] for row in rows]),
+                "weak_report.json": _json_bytes(summary),
+            }
+        else:
+            sups = (result.sup_dist if config.kind == "dist-rate"
+                    else result.sup_err)
+            tables = error_tables(result.levels, sups, config.p_list)
+            summary = _rate_summary(config, tables)
+            artifacts = {
+                "errors.csv": _csv("n,num_paths,p,error,stderr", [
+                    [str(row.level), str(row.num_paths), _fmt(row.p),
+                     _fmt(row.error), _fmt(row.stderr)]
+                    for p in sorted(tables) for row in tables[p].rows]),
+                "rate_report.json": _json_bytes(summary),
+            }
 
     manifest = _manifest(config, artifacts)
     artifacts["manifest.json"] = _json_bytes(manifest)

@@ -92,15 +92,13 @@ class ConvexDomain:
 class Polyhedron(ConvexDomain):
     """Intersection of halfspaces ``<a_i, x> <= c_i`` with unit normals a_i.
 
-    Construction validates that every normal has unit length (within
-    ``UNIT_VECTOR_TOL``) and turns the coordinate faces on free
-    coordinates into per-coordinate bounds (see ``_split_faces``), so a box
-    or an orthant needs no active sets at all. It precomputes the candidate
-    active sets of the remaining faces (at most ``MAX_ACTIVE_SETS``; see
-    ``_project``) and checks that the feasible set has nonempty interior by
-    projecting the origin onto the polyhedron shrunk by a geometric sweep of
-    margins. Domains failing any check are rejected with ``ValueError``.
-    Without faces, the polyhedron is R^d.
+    Construction checks that every normal has unit length (within
+    ``UNIT_VECTOR_TOL``), turns the coordinate faces on free coordinates
+    into scalar bounds (see ``_split_faces``), so a box or an orthant needs
+    no active sets, precomputes the candidate active sets of the remaining
+    faces (at most ``MAX_ACTIVE_SETS``) and checks that the interior is
+    nonempty (see ``_find_interior_point``); a failed check raises
+    ``ValueError``. Without faces, the polyhedron is R^d.
     """
 
     normals: np.ndarray
@@ -397,15 +395,15 @@ def _clip(col, lo, hi, out=None):
 
 
 def _active_sets(normals, coupled):
-    """Candidate active sets of the faces ``normals`` ``(m, d)``.
+    """Candidate active sets of the faces ``normals`` ``(m, d)``, which touch
+    only the ``coupled`` coordinates.
 
-    The faces touch only the ``coupled`` coordinates, so the sets are
-    those of the faces restricted to them. Returns ``(rows, ginv, pinv)``
-    for every linearly independent set S of at most ``len(coupled)`` faces
-    (rank decided at ``ACTIVE_SET_RANK_RTOL``), by size then index order:
-    the face indices, the rows of ``G_S^-1 = (A_S A_S^T)^-1`` and the rows
-    of the pseudo-inverse ``A_S^T G_S^-1`` (``d`` lists of ``|S|`` entries,
-    all zero on the other coordinates), as Python floats.
+    Returns ``(rows, ginv, pinv)`` for every linearly independent set S of
+    at most ``len(coupled)`` faces (rank decided at ``ACTIVE_SET_RANK_RTOL``),
+    by size then index order: the face indices, the rows of ``G_S^-1 =
+    (A_S A_S^T)^-1`` and the rows of the pseudo-inverse ``A_S^T G_S^-1``
+    (``d`` lists of ``|S|`` entries, all zero on the other coordinates), as
+    Python floats.
     """
     d = normals.shape[1]
     sub = normals[:, coupled]
@@ -445,14 +443,10 @@ def _combine(coeffs, terms):
 
 
 def _project(x, runs, faces, offsets, active_sets, out=None):
-    """Metric projection of ``x`` ``(..., d)`` onto a polyhedron.
-
-    The polyhedron is the product of the intervals ``runs`` on its free
-    coordinates and of ``<a_i, x> <= c_i`` over the remaining ``faces``,
-    which touch only the other coordinates. The two factors live in
-    orthogonal coordinates, so the projection is the pair of their
-    projections: each clipped column goes through ``_clip_columns``, the
-    rest through the candidates below.
+    """Metric projection of ``x`` ``(..., d)`` onto a polyhedron: the
+    product of the intervals ``runs`` and of the remaining ``faces`` on
+    orthogonal coordinates (see ``_split_faces``), so each clipped column
+    goes through ``_clip_columns`` and the rest through the candidates below.
 
     For an exterior point, each candidate S gives ``r_S = A_S x - c_S``,
     multipliers ``lam_S = G_S^-1 r_S`` and the point ``p_S = x - A_S^T

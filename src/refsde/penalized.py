@@ -70,10 +70,8 @@ def splitting_step(domain, coeffs, t, x, dw, h, level, *, decay=None,
     post-diffusion point ``y`` to its projection, so the flow stays on that
     ray and its gap to the anchor contracts by ``exp(-n h)``. ``decay`` is
     that factor, ``np.exp(-level * h)`` or the same values broadcast to the
-    state's shape, when the caller has it already; with ``penalty=False``
-    the increment is not computed and is None. ``out``, as for a ufunc,
-    receives the next state, with the same bits; it may be ``x`` itself,
-    which is read in full before it is written.
+    state's shape, when the caller has it already. ``penalty`` and ``out``
+    are as for ``euler_step``.
     """
     y = euler_update(coeffs, t, x, dw, h, base=x)
     p = domain.project(y)

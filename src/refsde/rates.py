@@ -1,20 +1,14 @@
-"""Monte Carlo error aggregation across penalization levels and rate fits.
+"""Monte Carlo sweeps across penalization levels, their reductions and fits.
 
-The sweep drivers integrate every requested penalization level, and the
-projected-Euler reference where one is needed, in lockstep along shared
-Brownian paths (common random numbers). All levels are stacked into one
-state array and advanced by one kernel call per grid step. This step loop,
-``_lockstep``, is the only one: the per-path integrators of ``penalized``
-and ``reflected`` record one-path runs of it. Every operation acts row by
-row, so a path's result does not depend on which other paths or levels
-share the batch (a one-path run gives the bytes of its row in a sweep), and
-outputs are bitwise reproducible for a given configuration.
-
-Per grid step a sweep computes only what it keeps, on coordinate-major
-states that the kernels write in place, and it samples its increments one
-time block at a time, so its memory does not grow with the number of
-steps: ``_lockstep``, ``_increment_blocks`` and ``_sweep_paths`` state the
-layouts, the buffers and the per-step work.
+The sweeps integrate every requested penalization level, and the
+projected-Euler reference where one is needed, along shared Brownian paths
+(common random numbers) in the one step loop, ``_lockstep``, which the
+per-path integrators of ``penalized`` and ``reflected`` run too. Every
+operation acts row by row, so a path's result does not depend on which
+other paths or levels share the batch (a one-path run gives the bytes of
+its row in a sweep), and outputs are bitwise reproducible for a given
+configuration. A sweep returns per-path data, a ``SweepResult``, which its
+caller reduces with ``error_tables`` or ``weak_rows``.
 
 Errors are pooled as ``(mean over paths of sup^p)^(1/p)``; the bias of the
 root is accepted and the reported standard error is propagated to the same
@@ -24,6 +18,7 @@ scale are available because the two are empirically hard to distinguish at
 desk scale.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -43,11 +38,14 @@ __all__ = [
     "ErrorTable",
     "RateReport",
     "WeakRow",
+    "SweepResult",
     "fit_rate",
     "monotone_decreasing",
     "boundary_distance_sweep",
     "strong_error_sweep",
     "weak_compare",
+    "error_tables",
+    "weak_rows",
     "brownian_modulus_table",
     "REGRESSORS",
     "WEAK_FUNCTIONALS",
@@ -208,6 +206,8 @@ _MODULUS_CHUNK_PATHS = 64
 
 def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
     """Pooled L^p norm of the Brownian modulus at scales 1/n, per level."""
+    if num_paths < 1:
+        raise ValueError("num_paths must be >= 1")
     levels = [int(n) for n in levels]
     windows = []
     for n in levels:
@@ -225,7 +225,7 @@ def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
         ranges = _window_ranges(w_vals, [windows[i] for i in order])
         for pos, i in enumerate(order):
             sups[i, lo:hi] = ranges[pos]
-    return _tables(levels, sups, num_paths, [p])[p]
+    return error_tables(levels, sups, [p])[p]
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +244,19 @@ class WeakRow:
     value: float
 
 
+@dataclass(frozen=True)
+class SweepResult:
+    """The per-path data of one sweep, None where it was not computed. The
+    terminal states are in C order: numpy sums a mean over paths in order
+    there, but pairwise along a contiguous axis."""
+
+    levels: tuple
+    sup_dist: Optional[np.ndarray]      # (L, P) sup boundary distances
+    sup_err: Optional[np.ndarray]       # (L, P) sup gaps to the reference
+    terminal: np.ndarray                # (L, P, d)
+    ref_terminal: Optional[np.ndarray]  # (P, d), None without a reference
+
+
 def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
               blocks, *, increments=False):
     """The one step loop: advance the levels and the reference in lockstep.
@@ -260,25 +273,19 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     the kernels' elementwise results keep that layout, with the bits of
     C-ordered arrays.
 
-    Yields ``(x, dk, x_ref, dy)`` at every grid time: the level states with
-    the step's penalty increments, and the reference state (None without
-    one) with its driver increment over the step. At time 0 the increments
-    are the initial values, 0 and ``x0``, so their running sums are the
-    penalty and the driver. The increments are computed only with
-    ``increments=True``, which the per-path recorders set; otherwise ``dk``
-    and ``dy`` are None. ``x`` and ``x_ref`` are the same two arrays at
-    every yield, and the next step overwrites them: a caller that keeps a
-    state copies it. The increments are fresh arrays.
-
-    Per grid step this computes the kernel's new states, in place through
-    the kernels' ``out=``, the reference's sub-steps, the asked-for
-    increments and one ``_guard`` call per state array. The splitting
-    scheme's decay ``exp(-n h)`` is computed once per sweep, with the
-    kernel's own numpy call on the same ``(L, 1, 1)`` array, so it has the
-    bits a per-step evaluation had; it is then copied once to the full
-    shape and layout of ``x``, so that the kernel's multiply is
-    elementwise. A non-finite state raises ``IntegrationError`` (see
-    ``_guard``).
+    Yields ``(x, dk, x_ref, dy)`` at every grid time, the first after the
+    input checks: the level states with the step's penalty increments, and
+    the reference state (None without one) with its driver increment over
+    the step. At time 0 the increments are the initial values, 0 and
+    ``x0``, so their running sums are the penalty and the driver. They are
+    fresh arrays, computed only with ``increments=True`` (else None).
+    ``x`` and ``x_ref`` are the same two arrays at every yield, which the
+    kernels overwrite in place through their ``out=``: a caller that keeps
+    a state copies it. Each step ends with one ``_guard`` call per state
+    array. The splitting decay ``exp(-n h)`` is computed once per sweep, by
+    the kernel's own numpy call on the same ``(L, 1, 1)`` array, so it has
+    the bits a per-step evaluation had, and copied once to the shape and
+    layout of ``x``, so that the kernel's multiply is elementwise.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.dim,):
@@ -287,6 +294,8 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
         raise ValueError("x0 must lie in the domain closure")
     if coeffs.dim != domain.dim:
         raise ValueError("coefficient and domain dimensions differ")
+    if num_paths < 1:
+        raise ValueError("num_paths must be >= 1")
     levels = [float(n) for n in levels]
     if (not (levels or ref_steps)
             or any(b <= a for a, b in zip(levels, levels[1:]))):
@@ -393,41 +402,38 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
                  scheme, ref_steps, want_err, want_dist):
     """Integrate all levels (and the reference) along shared paths.
 
-    Feeds ``_lockstep`` with sampled increments and keeps its reductions:
-    per-path sup errors and sup boundary distances, shape ``(L, P)``, as
-    requested, and the terminal states of the levels, ``(L, P, d)``, and of
-    the reference, ``(P, d)``, copied to C order: numpy sums a mean over
-    paths in order there, but pairwise along a contiguous axis.
-
-    Per grid step, besides ``_lockstep``'s states, this computes only the
-    squared distances ``row_norm_sq(x - project(x))`` and squared errors
-    ``row_norm_sq(x - x_ref)`` asked for, and folds them into running
-    maxima; no penalty increments. The gaps go through one scratch array in
-    the states' layout, which ``project`` writes as its ``out``, and their
-    squared norms through one ``(L, P)`` array. The maxima are rooted once
-    at the end, which gives the bits of a per-step ``domain.distance`` and
-    ``row_norm`` maximum.
+    Feeds ``_lockstep`` with sampled increments and returns a
+    ``SweepResult``. Per grid step, besides ``_lockstep``'s states, this
+    computes only the squared distances ``row_norm_sq(x - project(x))`` and
+    squared errors ``row_norm_sq(x - x_ref)`` asked for, and folds them into
+    running maxima; no penalty increments. The gaps go through one scratch
+    array in the states' layout, which ``project`` writes as its ``out``,
+    and their squared norms through one ``(L, P)`` array.
     """
     blocks = _increment_blocks(grid, ref_steps, master_seed, num_paths,
                                domain.dim)
+    steps = _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme,
+                      ref_steps, blocks)
+    first = next(steps)  # the input checks, before anything is allocated
     shape = (len(levels), num_paths)
     sq_err = np.zeros(shape) if want_err else None
     sq_dist = np.zeros(shape) if want_dist else None
     if want_err or want_dist:
         gap = np.moveaxis(np.empty((domain.dim,) + shape), 0, -1)
         sq = np.empty(shape)
-    for x, _, x_ref, _ in _lockstep(domain, coeffs, x0, grid, levels,
-                                    num_paths, scheme, ref_steps, blocks):
+    for x, _, x_ref, _ in itertools.chain([first], steps):
         if want_dist:
             np.subtract(x, domain.project(x, out=gap), out=gap)
             np.maximum(sq_dist, row_norm_sq(gap, out=sq), out=sq_dist)
         if want_err:
             np.subtract(x, x_ref, out=gap)
             np.maximum(sq_err, row_norm_sq(gap, out=sq), out=sq_err)
-    return {"sup_err": np.sqrt(sq_err) if want_err else None,
-            "sup_dist": np.sqrt(sq_dist) if want_dist else None,
-            "terminal": x.copy(order="C"),
-            "ref_terminal": None if x_ref is None else x_ref.copy(order="C")}
+    return SweepResult(
+        levels=tuple(levels),
+        sup_dist=np.sqrt(sq_dist) if want_dist else None,
+        sup_err=np.sqrt(sq_err) if want_err else None,
+        terminal=x.copy(order="C"),
+        ref_terminal=None if x_ref is None else x_ref.copy(order="C"))
 
 
 def _guard(x, step, levels=None):
@@ -481,13 +487,15 @@ def _pooled_norm(sups, p):
     return err, float(se_mean / (p * mean ** ((p - 1.0) / p)))
 
 
-def _tables(levels, sups, num_paths, p_list):
+def error_tables(levels, sups, p_list=(2.0,)):
     """One ``ErrorTable`` per p of the pooled norms of ``sups`` ``(L, P)``.
 
     Raises ``RateFitError`` naming n and p where a pooled norm or its
     standard error overflows; numpy's overflow warnings are silenced, since
     the error says it.
     """
+    if sups.ndim != 2 or sups.shape[0] != len(levels) or sups.shape[1] < 1:
+        raise ValueError("sups must be (levels, paths), with a path or more")
     tables = {}
     for p in p_list:
         rows = []
@@ -500,37 +508,43 @@ def _tables(levels, sups, num_paths, p_list):
             if not (math.isfinite(err) and math.isfinite(se)):
                 raise RateFitError(
                     f"the pooled error overflows at n = {n:g}, p = {p:g}")
-            rows.append(ErrorRow(level=int(n), num_paths=num_paths,
+            rows.append(ErrorRow(level=int(n), num_paths=sups.shape[1],
                                  error=err, stderr=se, p=p))
         tables[p] = ErrorTable(rows=tuple(rows))
     return tables
 
 
 def boundary_distance_sweep(domain, coeffs, x0, grid, levels, num_paths,
-                            master_seed, p_list=(2.0,), scheme="splitting"):
-    """L^p norms of the sup boundary distance of the penalized process."""
-    res = _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
-                       master_seed, scheme, ref_steps=None, want_err=False,
-                       want_dist=True)
-    return _tables(levels, res["sup_dist"], num_paths, p_list)
+                            master_seed, scheme="splitting"):
+    """Per-path sup distances ``sup_dist`` of the penalized process to the
+    domain."""
+    return _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
+                        master_seed, scheme, ref_steps=None, want_err=False,
+                        want_dist=True)
 
 
 def strong_error_sweep(domain, coeffs, x0, grid, levels, num_paths,
-                       master_seed, p_list=(2.0,), scheme="splitting",
-                       reference_steps=None):
-    """L^p norms of the pathwise sup gap to the projected-Euler reference."""
-    res = _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
-                       master_seed, scheme,
-                       ref_steps=reference_steps or grid.steps,
-                       want_err=True, want_dist=False)
-    return _tables(levels, res["sup_err"], num_paths, p_list)
+                       master_seed, scheme="splitting", reference_steps=None):
+    """Per-path sup gaps ``sup_err`` to the projected-Euler reference."""
+    return _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
+                        master_seed, scheme,
+                        ref_steps=reference_steps or grid.steps,
+                        want_err=True, want_dist=False)
+
+
+def weak_compare(domain, coeffs, x0, grid, levels, num_paths, master_seed,
+                 scheme="splitting", reference_steps=None):
+    """Terminal states of the levels and of the projected-Euler reference."""
+    return _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
+                        master_seed, scheme,
+                        ref_steps=reference_steps or grid.steps,
+                        want_err=False, want_dist=False)
 
 
 WEAK_FUNCTIONALS = ("mean", "second_moment", "cdf")
 
 
-def weak_compare(domain, coeffs, levels, grid, num_paths, functional, x0,
-                 master_seed, scheme="splitting", reference_steps=None):
+def weak_rows(result, functional):
     """Distance of a terminal-value functional to the reference, per level.
 
     Functionals: ``mean`` (norm of the mean difference), ``second_moment``
@@ -539,16 +553,13 @@ def weak_compare(domain, coeffs, levels, grid, num_paths, functional, x0,
     """
     if functional not in WEAK_FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
-    if functional == "cdf" and domain.dim != 1:
+    terminal, ref_terminal = result.terminal, result.ref_terminal
+    if ref_terminal is None:
+        raise ValueError("weak_rows needs a sweep with a reference")
+    if functional == "cdf" and terminal.shape[-1] != 1:
         raise ValueError("the CDF distance requires dimension 1")
-    res = _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
-                       master_seed, scheme,
-                       ref_steps=reference_steps or grid.steps,
-                       want_err=False, want_dist=False)
-    terminal = res["terminal"]          # (L, P, d)
-    ref_terminal = res["ref_terminal"]  # (P, d)
     rows = []
-    for i, n in enumerate(levels):
+    for i, n in enumerate(result.levels):
         if functional == "mean":
             value = float(row_norm(
                 terminal[i].mean(axis=0) - ref_terminal.mean(axis=0)))
@@ -557,7 +568,7 @@ def weak_compare(domain, coeffs, levels, grid, num_paths, functional, x0,
                               - np.mean(np.sum(ref_terminal ** 2, axis=-1))))
         else:
             value = _cdf_distance(terminal[i][:, 0], ref_terminal[:, 0])
-        rows.append(WeakRow(level=int(n), num_paths=num_paths,
+        rows.append(WeakRow(level=int(n), num_paths=terminal.shape[1],
                             functional=functional, value=value))
     return tuple(rows)
 

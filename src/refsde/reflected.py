@@ -94,11 +94,8 @@ def skorokhod_map_halfline(driver, lower_bound, grid=None):
 
 
 def projected_euler_step(domain, coeffs, t, x, dw, h, *, out=None):
-    """One projected Euler update; returns (next state, driver increment).
-
-    ``out``, as for a ufunc, receives the next state, with the same bits; it
-    may be ``x`` itself, which is read in full before it is written.
-    """
+    """One projected Euler update, returning (next state, driver increment);
+    ``out`` is as for ``penalized.euler_step``."""
     dy = euler_update(coeffs, t, x, dw, h)
     return domain.project(x + dy, out=out), dy
 

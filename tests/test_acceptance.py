@@ -14,10 +14,12 @@ from refsde.geometry import Ball, Box, HalfLine, Polyhedron, sample_points
 from refsde.rates import (
     brownian_modulus_table,
     boundary_distance_sweep,
+    error_tables,
     fit_rate,
     monotone_decreasing,
     strong_error_sweep,
     weak_compare,
+    weak_rows,
 )
 from refsde.reflected import (
     ReflectedTrajectory,
@@ -43,10 +45,10 @@ def quadrant():
 
 
 def test_criterion_1_boundary_distance_rate():
-    tables = boundary_distance_sweep(
+    res = boundary_distance_sweep(
         HalfLine(0.0), make_coefficients("ou1d"), np.array([0.0]), FINE,
-        LEVELS, 400, SEED, p_list=[2.0], scheme="splitting")
-    table = tables[2.0]
+        LEVELS, 400, SEED, scheme="splitting")
+    table = error_tables(res.levels, res.sup_dist, p_list=[2.0])[2.0]
     fit = fit_rate(table, "ln_n_over_n")
     decreasing = monotone_decreasing(table, sigmas=2.0)
     report(1, "boundary-distance rate",
@@ -62,11 +64,11 @@ def test_criterion_2_polyhedral_strong_rate():
     ]
     details, ok = [], True
     for label, domain, coeffs_name, x0 in cases:
-        tables = strong_error_sweep(
+        res = strong_error_sweep(
             domain, make_coefficients(coeffs_name), np.array(x0), FINE,
-            LEVELS, 400, SEED, p_list=[2.0], scheme="splitting",
+            LEVELS, 400, SEED, scheme="splitting",
             reference_steps=FINE.steps)
-        table = tables[2.0]
+        table = error_tables(res.levels, res.sup_err, p_list=[2.0])[2.0]
         fit = fit_rate(table, "ln_n_over_n")
         decreasing = monotone_decreasing(table, sigmas=2.0)
         ok &= 0.35 <= fit.slope <= 0.70 and decreasing
@@ -76,12 +78,12 @@ def test_criterion_2_polyhedral_strong_rate():
 
 
 def test_criterion_3_general_domain_strong_rate():
-    tables = strong_error_sweep(
+    res = strong_error_sweep(
         Ball(center=[0.0, 0.0], radius=1.0),
         make_coefficients("quadrant2d"), np.array([0.0, 0.0]), FINE,
-        LEVELS, 400, SEED, p_list=[2.0], scheme="splitting",
+        LEVELS, 400, SEED, scheme="splitting",
         reference_steps=FINE.steps)
-    table = tables[2.0]
+    table = error_tables(res.levels, res.sup_err, p_list=[2.0])[2.0]
     fit = fit_rate(table, "ln_n_over_n")
     decreasing = monotone_decreasing(table, sigmas=2.0)
     report(3, "general-domain strong rate",
@@ -231,10 +233,10 @@ def test_criterion_7_modulus_of_continuity_rate():
 
 
 def test_criterion_8_weak_convergence_probe():
-    rows = weak_compare(
+    rows = weak_rows(weak_compare(
         Box(lower=[0.0], upper=[2.0]), make_coefficients("schmidt1d"),
-        [16, 64, 256, 1024], FINE, 2000, "cdf", np.array([0.9]), SEED,
-        scheme="splitting", reference_steps=FINE.steps)
+        np.array([0.9]), FINE, [16, 64, 256, 1024], 2000, SEED,
+        scheme="splitting", reference_steps=FINE.steps), "cdf")
     first, last = rows[0].value, rows[-1].value
     factor = first / last if last > 0 else np.inf
     report(8, "weak-convergence probe", factor >= 2.0,

@@ -68,7 +68,7 @@ from test_blas_dispatch import LOG_DISPATCH_SEED, POOLED_P, noisy_table
 from refsde.brownian import TimeGrid, sample_path
 from refsde.coefficients import make_coefficients
 from refsde.geometry import Ball, Box
-from refsde.rates import _tables, fit_rate
+from refsde.rates import error_tables, fit_rate
 from refsde.reflected import projected_euler
 
 ball = Ball(center=[0.0, 0.0], radius=1.0)
@@ -84,7 +84,7 @@ fits = [fit_rate(noisy_table(seed), reg) for seed in (3, LOG_DISPATCH_SEED)
 # Sup-like values from the bit generator's uniform doubles, which do not
 # depend on the SIMD level.
 sups = np.random.default_rng(11).random((4, 2000)) * 3.0
-pooled = _tables([16, 32, 64, 128], sups, 2000, POOLED_P)
+pooled = error_tables([16, 32, 64, 128], sups, POOLED_P)
 # Two coordinates in (2, N) memory, with signed zeros and NaN planted.
 planes = np.random.default_rng(12).standard_normal((2, 4000)) * 2.0
 planes[:, ::9], planes[:, 4::9] = -0.0, 0.0

@@ -26,6 +26,13 @@ def test_grid_requires_power_of_two():
     assert g.steps == 32 and g.step * g.steps == g.horizon
 
 
+def test_grid_rejects_a_step_count_that_is_not_integral():
+    # int(4.5) is 4, a power of two: the grid must not truncate silently.
+    with pytest.raises(ValueError, match="power of two"):
+        TimeGrid(1.0, 4.5)
+    assert TimeGrid(1.0, 4.0).steps == 4
+
+
 def test_sampling_is_deterministic():
     g = TimeGrid(1.0, 64)
     a = sample_path(g, 7, 3, dim=2)

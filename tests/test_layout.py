@@ -186,5 +186,5 @@ def test_lockstep_states_stay_coordinate_major(dom, coeffs):
     res = rates._sweep_paths(dom, coeffs, x0, grid, [16, 64, 256], 50, 3,
                              "splitting", 2 * grid.steps, want_err=True,
                              want_dist=True)
-    assert res["terminal"].flags.c_contiguous
-    assert res["ref_terminal"].flags.c_contiguous
+    assert res.terminal.flags.c_contiguous
+    assert res.ref_terminal.flags.c_contiguous

@@ -267,13 +267,13 @@ def test_boundary_distance_stats():
 
 def test_deeper_penalization_reduces_excursions():
     # Shared paths: mean sup distance shrinks monotonically with the level.
-    from refsde.rates import boundary_distance_sweep
+    from refsde.rates import boundary_distance_sweep, error_tables
     domain = HalfLine(0.0)
     coeffs = make_coefficients("ou1d")
     grid = TimeGrid.from_log2(1.0, 12)
-    tables = boundary_distance_sweep(domain, coeffs, np.array([0.0]), grid,
-                                     [64, 256, 1024], 200, 314,
-                                     p_list=[1.0, 2.0])
+    res = boundary_distance_sweep(domain, coeffs, np.array([0.0]), grid,
+                                  [64, 256, 1024], 200, 314)
+    tables = error_tables(res.levels, res.sup_dist, p_list=[1.0, 2.0])
     for p in (1.0, 2.0):
         errs = tables[p].errors
         assert errs[2] < errs[1] < errs[0]

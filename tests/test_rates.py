@@ -16,11 +16,14 @@ from refsde import rates
 from refsde.rates import (
     ErrorRow,
     ErrorTable,
+    boundary_distance_sweep,
     brownian_modulus_table,
+    error_tables,
     fit_rate,
     monotone_decreasing,
     strong_error_sweep,
     weak_compare,
+    weak_rows,
     _sweep_paths,
 )
 from refsde.reflected import projected_euler, skorokhod_map_halfline
@@ -65,10 +68,18 @@ def test_tables_raise_rate_fit_error_where_a_pooled_norm_overflows(sups, p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RateFitError, match=f"at n = 32, p = {p}$"):
-            rates._tables([16, 32], np.array([good, sups]), 2, [p])
-        table = rates._tables([16], np.array([good]), 2, [p])[p]
+            error_tables([16, 32], np.array([good, sups]), [p])
+        table = error_tables([16], np.array([good]), [p])[p]
     assert (table.rows[0].error, table.rows[0].stderr) == \
         rates._pooled_norm(np.array(good), p)
+
+
+def test_error_tables_reject_sups_of_the_wrong_shape():
+    # One row per level and at least one path: unchecked, an extra row
+    # would be ignored and an empty one reported as an overflow.
+    for sups in (np.ones((3, 4)), np.ones((2, 0)), np.ones(2)):
+        with pytest.raises(ValueError, match="sups must be"):
+            error_tables([16, 32], sups)
 
 
 def test_fit_rate_recovers_exact_exponents():
@@ -207,10 +218,10 @@ def check_sweep_against_oracle(domain, coeffs, x0, levels, num_paths, seed,
             states, _, max_dist = penalized_loop(domain, coeffs, path, x0, n,
                                                  scheme)
             sup = max(float(row_norm(a - b)) for a, b in zip(states, ref))
-            assert res["sup_err"][li, pi] == sup
-            assert res["sup_dist"][li, pi] == max_dist
-            assert np.array_equal(res["terminal"][li, pi], states[-1])
-        assert np.array_equal(res["ref_terminal"][pi], ref[-1])
+            assert res.sup_err[li, pi] == sup
+            assert res.sup_dist[li, pi] == max_dist
+            assert np.array_equal(res.terminal[li, pi], states[-1])
+        assert np.array_equal(res.ref_terminal[pi], ref[-1])
 
 
 def test_sweep_matches_per_path_api_bitwise():
@@ -261,9 +272,9 @@ def test_sweep_guard_passes_finite_states_whose_sum_overflows(scheme):
                            grid, [4.0, 16.0], 5, 3, scheme,
                            ref_steps=grid.steps, want_err=True,
                            want_dist=True)
-    assert np.all(res["terminal"] == 1e308)
-    assert np.all(res["ref_terminal"] == 1e308)
-    assert np.all(res["sup_err"] == 0.0) and np.all(res["sup_dist"] == 0.0)
+    assert np.all(res.terminal == 1e308)
+    assert np.all(res.ref_terminal == 1e308)
+    assert np.all(res.sup_err == 0.0) and np.all(res.sup_dist == 0.0)
 
 
 def test_sweep_refined_reference_matches_per_path_api_bitwise():
@@ -281,12 +292,12 @@ def test_sweep_refined_reference_matches_per_path_api_bitwise():
     for pi in range(5):
         path = sample_path(fine, 31, pi)
         ref = reference_loop(domain, coeffs, path, x0)[0]
-        np.testing.assert_array_equal(res["ref_terminal"][pi], ref[-1])
+        np.testing.assert_array_equal(res.ref_terminal[pi], ref[-1])
         for li, n in enumerate(levels):
             states = penalized_loop(domain, coeffs, coarsen(path, period),
                                     x0, n)[0]
             sup = np.max(np.linalg.norm(states - ref[::period], axis=-1))
-            assert res["sup_err"][li, pi] == sup
+            assert res.sup_err[li, pi] == sup
 
 
 def test_lockstep_computes_increments_only_when_asked():
@@ -330,8 +341,8 @@ def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, block_words):
     monkeypatch.setattr(rates, "_BLOCK_WORDS", block_words)
     blocked = _sweep_paths(*args, **kw)
     for key in ("sup_err", "sup_dist", "terminal", "ref_terminal"):
-        assert blocked[key].shape == whole[key].shape
-        assert blocked[key].tobytes() == whole[key].tobytes()
+        b, w = getattr(blocked, key), getattr(whole, key)
+        assert b.shape == w.shape and b.tobytes() == w.tobytes()
 
 
 _TILE = rates._TILE_PATHS
@@ -424,9 +435,10 @@ def test_sweep_rows_independent_of_batch_quadrant():
     large = _sweep_paths(domain, coeffs, x0, grid, [16.0, 256.0], 10, 7,
                          "splitting", **kw)
     for key in ("sup_err", "sup_dist", "terminal"):
-        np.testing.assert_array_equal(small[key], large[key][:, :3])
-    np.testing.assert_array_equal(small["ref_terminal"],
-                                  large["ref_terminal"][:3])
+        np.testing.assert_array_equal(getattr(small, key),
+                                      getattr(large, key)[:, :3])
+    np.testing.assert_array_equal(small.ref_terminal,
+                                  large.ref_terminal[:3])
 
 
 def test_sweep_non_finite_guard_names_first_bad_row():
@@ -527,9 +539,32 @@ def test_sweep_guards_the_reference_state(ref_steps, first_bad):
                            reference_steps=ref_steps)
     assert (err.value.step_index, err.value.path_index) == (first_bad, 0)
     with pytest.raises(IntegrationError, match="reference") as err:
-        weak_compare(*args, levels, grid, 50, "cdf", x0, 3,
+        weak_compare(*args, x0, grid, levels, 50, 3,
                      reference_steps=ref_steps)
     assert (err.value.step_index, err.value.path_index) == (first_bad, 0)
+
+
+@pytest.mark.parametrize("num_paths", [0, -3])
+def test_sweeps_reject_fewer_than_one_path(num_paths):
+    # Checked before anything is allocated or reduced, so neither numpy's
+    # errors nor a pooled-norm overflow stand in for the real cause.
+    grid = TimeGrid.from_log2(1.0, 4)
+    args = (HalfLine(0.0), make_coefficients("ou1d"), np.array([0.0]), grid,
+            [4, 16], num_paths, 3)
+    for sweep in (boundary_distance_sweep, strong_error_sweep, weak_compare):
+        with pytest.raises(ValueError, match="^num_paths must be >= 1$"):
+            sweep(*args)
+    with pytest.raises(ValueError, match="^num_paths must be >= 1$"):
+        brownian_modulus_table(grid, [2, 4], num_paths, 3)
+
+
+def test_weak_rows_need_a_reference():
+    grid = TimeGrid.from_log2(1.0, 4)
+    res = boundary_distance_sweep(HalfLine(0.0), make_coefficients("ou1d"),
+                                  np.array([0.0]), grid, [4, 16], 2, 3)
+    assert res.ref_terminal is None and res.sup_err is None
+    with pytest.raises(ValueError, match="reference"):
+        weak_rows(res, "mean")
 
 
 def test_sweep_euler_guard():
@@ -559,20 +594,21 @@ def test_halfline_map_reference_matches_projected_euler():
         for li, n in enumerate(levels):
             states = penalized_loop(domain, coeffs, path, x0, n)[0]
             sup = np.max(np.abs(states - mapped))
-            assert abs(res["sup_err"][li, pi] - sup) <= 1e-12
+            assert abs(res.sup_err[li, pi] - sup) <= 1e-12
     # Deeper penalization tracks the reflected reference more closely.
-    tables = strong_error_sweep(domain, coeffs, x0, grid, levels, 60, 11)
+    res = strong_error_sweep(domain, coeffs, x0, grid, levels, 60, 11)
+    tables = error_tables(res.levels, res.sup_err)
     assert tables[2.0].errors[1] < tables[2.0].errors[0]
 
 
 def test_weak_compare_quiescent_matches_exactly():
     domain = HalfLine(0.0)
     grid = TimeGrid.from_log2(1.0, 6)
-    rows = weak_compare(domain, zero_field(1), [4, 16], grid, 8, "cdf",
-                        np.array([0.5]), 3)
+    res = weak_compare(domain, zero_field(1), np.array([0.5]), grid, [4, 16],
+                       8, 3)
+    rows = weak_rows(res, "cdf")
     assert all(r.value == 0.0 for r in rows)
-    rows = weak_compare(domain, zero_field(1), [4, 16], grid, 8, "mean",
-                        np.array([0.5]), 3)
+    rows = weak_rows(res, "mean")
     assert all(r.value == 0.0 for r in rows)
 
 
@@ -580,8 +616,8 @@ def test_weak_compare_mean_shrinks_with_level():
     domain = HalfLine(0.0)
     coeffs = make_coefficients("ou1d")
     grid = TimeGrid.from_log2(1.0, 12)
-    rows = weak_compare(domain, coeffs, [16, 64, 256, 1024], grid, 400,
-                        "mean", np.array([0.0]), 17)
+    rows = weak_rows(weak_compare(domain, coeffs, np.array([0.0]), grid,
+                                  [16, 64, 256, 1024], 400, 17), "mean")
     values = [r.value for r in rows]
     assert values[-1] < values[0]
     assert values[2] < values[0]
@@ -600,11 +636,11 @@ WEAK_PINS = {
 
 @pytest.mark.parametrize("functional", sorted(WEAK_PINS))
 def test_weak_reductions_are_pinned(functional):
-    rows = weak_compare(Box(lower=[0.0, 0.0], upper=[2.0, 2.0]),
-                        make_coefficients("gbm-box", sigma0=1.5),
-                        [4, 16, 64, 256], TimeGrid.from_log2(1.0, 8), 300,
-                        functional, np.array([0.1, 1.9]), 11,
-                        reference_steps=512)
+    res = weak_compare(Box(lower=[0.0, 0.0], upper=[2.0, 2.0]),
+                       make_coefficients("gbm-box", sigma0=1.5),
+                       np.array([0.1, 1.9]), TimeGrid.from_log2(1.0, 8),
+                       [4, 16, 64, 256], 300, 11, reference_steps=512)
+    rows = weak_rows(res, functional)
     assert [r.value.hex() for r in rows] == WEAK_PINS[functional]
 
 
@@ -612,9 +648,11 @@ def test_weak_compare_validates_functional():
     domain = Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]],
                         offsets=[0.0, 0.0])
     grid = TimeGrid.from_log2(1.0, 4)
+    res = weak_compare(domain, make_coefficients("quadrant2d"),
+                       np.array([0.0, 0.0]), grid, [4], 2, 0)
     with pytest.raises(ValueError, match="dimension 1"):
-        weak_compare(domain, make_coefficients("quadrant2d"), [4], grid, 2,
-                     "cdf", np.array([0.0, 0.0]), 0)
+        weak_rows(res, "cdf")
+    res = weak_compare(HalfLine(0.0), make_coefficients("ou1d"),
+                       np.array([0.0]), grid, [4], 2, 0)
     with pytest.raises(ValueError, match="functional"):
-        weak_compare(HalfLine(0.0), make_coefficients("ou1d"), [4], grid, 2,
-                     "median", np.array([0.0]), 0)
+        weak_rows(res, "median")

@@ -1,8 +1,9 @@
 """The benchmark's span tracer still sees every layer of a CLI run.
 
 ``perfbench/tracer.py`` wraps the kernels under the names the sweep calls
-them by. A kernel reached through another name would read 0 without being
-listed as absent, so this runs the CLI under the tracer and checks both.
+them by, and the sweeps under the names ``refsde.cli`` imports. A function
+reached through another name would read 0 without being listed as absent,
+so this runs the CLI under the tracer and checks both.
 """
 
 import json
@@ -94,6 +95,9 @@ def test_tracer_sees_every_layer(tmp_path):
         assert any(run["calls"].get(layer, 0) > 0
                    for run in runs.values()), layer
     for kind, run in runs.items():
+        # One sweep per run, through the traced name: a dispatch that bound
+        # the sweeps at import time would leave ``rates.sweep`` at 0.
+        assert run["calls"].get("rates.sweep", 0) == 1, kind
         got = (run["calls"]["geometry.project"],
                run["rows"]["geometry.project"])
         assert got == PROJECT_COUNTS[kind], kind

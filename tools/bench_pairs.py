@@ -5,9 +5,12 @@ Usage::
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W \
         --pairs N [--seconds S] [--seed SEED]
 
-Each pair runs ``PARENT_TREE/perfbench/run.py --trace 0`` and then
+Each pair runs ``PARENT_TREE/perfbench/run.py --trace 0`` and
 ``CHANGE_TREE/perfbench/run.py --trace 0`` with the same workload, seed and
 ``--seconds``, one run at a time, and reads the last JSON line of each run.
+The order alternates, so that a drift in the host's speed does not favour
+one side: the parent runs first in pairs 1, 3, 5, ... and the change first
+in pairs 2, 4, 6, ...
 For every end-to-end metric of ``CHANGE_TREE/BENCHMARK.json`` it prints the
 parent and change medians, the relative change, the interquartile range of
 the parent's runs and the number of pairs the change won (ties count for
@@ -75,12 +78,14 @@ def main(argv=None):
     spec = json.loads((change_tree / "BENCHMARK.json").read_text())
     parent, change = [], []
     for i in range(args.pairs):
-        for tree, runs in ((parent_tree, parent), (change_tree, change)):
+        sides = [(parent_tree, parent), (change_tree, change)]
+        for tree, runs in sides if i % 2 == 0 else sides[::-1]:
             runs.append(run_once(tree, args.workload, args.seed,
                                  args.seconds))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, "
-          f"--seconds {args.seconds:g}")
+          f"--seconds {args.seconds:g}, parent first in odd pairs, change "
+          f"first in even pairs")
     for line in summarize(spec["end_to_end"], parent, change):
         print(line)
     return 0
