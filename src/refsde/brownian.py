@@ -6,17 +6,11 @@ Increments are produced by a counter-based generator (Philox) keyed by
 inverse CDF. The value at any slot is therefore a pure function of the key
 and counter: paths are generable independently, in parallel, and in any
 order, and the same ``(master_seed, path_index, grid)`` always reproduces
-the same increments bitwise. Because the stream depends on nothing but key
-and counter, one generator per call is re-keyed for each path, which gives
-the words a fresh generator would; no entropy is ever drawn. So a call of
-``sample_increments`` is pipelined with the same bits: a helper thread runs
-the inverse CDF on one tile of paths while the caller draws the next tile.
+the same increments bitwise; ``sample_increments`` states how one call
+re-keys its generator per path and overlaps the inverse CDF on a thread.
 
 ``halve_increments`` forms block sums over a fixed dyadic tree (repeated
-pairwise halving), so halving by 2 twice equals halving by 4 bitwise. A
-sweep whose reference is refined steps its levels on these block sums, so a
-level's increments are bitwise the block sums of the reference's fine
-increments.
+pairwise halving), so halving by 2 twice equals halving by 4 bitwise.
 """
 
 from dataclasses import dataclass

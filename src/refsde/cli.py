@@ -207,8 +207,12 @@ def parse_config(raw, kind):
     if not isinstance(p_list, list):
         raise ConfigError("p_list must be a list")
     p_list = [_convert(p, float, "p_list entry") for p in p_list]
-    if not p_list or any(not 1.0 <= p <= 8.0 for p in p_list):
+    if not p_list:
+        raise ConfigError("p_list must not be empty")
+    if any(not 1.0 <= p <= 8.0 for p in p_list):
         raise ConfigError("p_list entries must lie in [1, 8]")
+    if len(set(p_list)) != len(p_list):
+        raise ConfigError("p_list entries must be distinct")
     cfg.update(n_list=tuple(n_list), scheme=scheme, p_list=tuple(p_list))
 
     if kind in ("strong-rate", "weak-compare"):

@@ -6,9 +6,8 @@ A coefficient field packages two pure callables that return coordinate
 entries: ``diffusion(t, x)`` returns sigma as d rows of d entries, and
 ``drift(t, x)`` returns d entries. Each entry is a float or an array that
 broadcasts against ``x[..., 0]``, for ``x`` of shape ``(..., d)``.
-``euler_update`` is the step path's only reader of this format: it sums
-``x + sigma dW + h b`` per output coordinate, with no ``(..., d, d)``
-matrix. The diagnostics assemble the matrix and measure its size in the
+``euler_update`` is the step path's only reader of this format; the
+diagnostics assemble the ``(..., d, d)`` matrix and measure its size in the
 Frobenius norm.
 
 The growth/Lipschitz checks certify declared constants on a sampled box

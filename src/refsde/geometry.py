@@ -1,19 +1,13 @@
 """Convex domains with metric projection and distance.
 
-Two projections cover every domain: a polyhedron, the intersection of
-halfspaces with unit outward normals, and a euclidean ball. The
-one-dimensional half-line and the axis-aligned box (infinite bounds
-allowed) are polyhedra whose faces are their finite bounds.
+Two projections cover every domain, both exact, with no iteration and no
+stopping rule: a euclidean ball's, in closed form, and a polyhedron's (see
+``_project``), whose special cases are the half-line and the box.
 
 All operations accept a single point of shape ``(d,)`` or a batch of shape
 ``(..., d)`` and return results with matching leading axes. Domain objects
 are immutable after construction and safe to share across workers; every
 operation is pure.
-
-Every projection is exact, with no iteration and no stopping rule: the
-ball has a closed form, and a polyhedron clips its coordinate faces as
-scalar bounds and picks the KKT point of the rest among precomputed active
-sets (see ``Polyhedron``, ``_split_faces`` and ``_project``).
 """
 
 import itertools
@@ -456,9 +450,8 @@ def _project(x, runs, faces, offsets, active_sets, out=None):
     them, so by weak duality the largest value marks the projection: no
     iteration and no feasibility tolerance. All operations act row by row
     on coordinate columns, so a point's result does not depend on its
-    batch; feasible points are returned bitwise unchanged, as ``x`` itself
-    unless ``out`` is given. With ``out`` the clips write into it, so ``x``
-    is ``out`` from then on, and the candidates scatter their points there.
+    batch. With ``out`` the clips write into it, so ``x`` is ``out`` from
+    then on, and the candidates scatter their points there.
     """
     x = _clip_columns(x, runs, out)
     if not faces:

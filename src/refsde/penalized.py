@@ -12,14 +12,10 @@ term ``-n (x - project(x))``:
   the recommended default. As ``n`` grows at fixed ``h`` the step
   degenerates to projecting the diffusion update.
 
-Both return the trajectory together with the accumulated penalty process
-(the running integral of the penalty drift) and the sup of the distance to
-the domain along the path. Step kernels are shape-agnostic over leading
-batch axes, and ``level`` may be an array that broadcasts against them.
-Their part ``x + sigma dW + h b`` is ``coefficients.euler_update``. The
-one step loop, ``rates._lockstep``, drives them: the sweeps with a
-``(levels, paths, d)`` array, the per-path functions here with one level
-and one path, whose run they record.
+Both return a ``PenalizedTrajectory`` of a recorded ``rates._lockstep``
+run. Step kernels are shape-agnostic over leading batch axes, and
+``level`` may be an array that broadcasts against them. Their part
+``x + sigma dW + h b`` is ``coefficients.euler_update``.
 """
 
 from dataclasses import dataclass

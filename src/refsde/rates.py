@@ -10,12 +10,9 @@ its row in a sweep), and outputs are bitwise reproducible for a given
 configuration. A sweep returns per-path data, a ``SweepResult``, which its
 caller reduces with ``error_tables`` or ``weak_rows``.
 
-Errors are pooled as ``(mean over paths of sup^p)^(1/p)``; the bias of the
-root is accepted and the reported standard error is propagated to the same
-scale. Rate fits regress ``log(error)`` on the log of a regressor of the
-penalization level; both the ``log(n)/n`` scale and the plain ``1/n``
-scale are available because the two are empirically hard to distinguish at
-desk scale.
+Errors are pooled as ``(mean over paths of sup^p)^(1/p)``, the bias of the
+root accepted. Rate fits offer both the ``log(n)/n`` and the plain ``1/n``
+regressor, because the two are empirically hard to distinguish at desk scale.
 """
 
 import itertools
@@ -28,7 +25,7 @@ import numpy as np
 from .brownian import (_TILE_PATHS, TimeGrid, halve_increments,
                        sample_increments)
 from .errors import IntegrationError, RateFitError
-from .geometry import row_norm, row_norm_sq
+from .geometry import Polyhedron, row_norm, row_norm_sq
 from .penalized import euler_step, splitting_step
 from .reflected import projected_euler_step
 from . import tolerances as tol
@@ -366,12 +363,11 @@ def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
     ``(steps, P, d)`` blocks in ``(steps, d, P)`` memory, so that every step
     reads a contiguous ``(P, d)`` slab, one plane per coordinate. A block is
     as many whole coarse steps as fit in ``_BLOCK_WORDS`` fine words, and at
-    least one, so the sums match a whole-path generation bitwise. It is
-    filled in place by one ``sample_increments`` call, and ``_lockstep``
-    drops it before the next is sampled. So the increments take one block
-    of at most ``max(_BLOCK_WORDS, P * d * factor)`` fine words (8 MiB
-    unless a coarse step alone is larger), its sums and two sampling tiles
-    of ``_TILE_PATHS`` paths, however many steps there are."""
+    least one, so the sums match a whole-path generation bitwise.
+    ``_lockstep`` drops it before the next is sampled, so the increments
+    take one block of at most ``max(_BLOCK_WORDS, P * d * factor)`` fine
+    words (8 MiB unless a coarse step alone is larger), its sums and two
+    sampling tiles of ``_TILE_PATHS`` paths, however many steps there are."""
     m = grid.steps
     finest = TimeGrid(grid.horizon, ref_steps or m)
     factor = finest.steps // m
@@ -409,6 +405,15 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     running maxima; no penalty increments. The gaps go through one scratch
     array in the states' layout, which ``project`` writes as its ``out``,
     and their squared norms through one ``(L, P)`` array.
+
+    On a one-dimensional polyhedron that is a plain clip (no remaining
+    faces), a step only folds the state into a running minimum per finite
+    lower bound and a running maximum per finite upper bound; the distances
+    are folded from these once, at the end, with the same bits: outside a
+    bound the gap ``fl(x - b)`` is monotone in ``x`` and ``fl(g * g)`` in
+    ``|g|``, inside it is exactly ``+0.0``, so the largest squared gap is at
+    an extreme, and ``_guard`` keeps NaN out. A ball's closed form is not
+    monotone in floating point, so it keeps the per-step fold, as d >= 2 does.
     """
     blocks = _increment_blocks(grid, ref_steps, master_seed, num_paths,
                                domain.dim)
@@ -421,13 +426,27 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     if want_err or want_dist:
         gap = np.moveaxis(np.empty((domain.dim,) + shape), 0, -1)
         sq = np.empty(shape)
+
+    def fold_dist(x):
+        np.subtract(x, domain.project(x, out=gap), out=gap)
+        np.maximum(sq_dist, row_norm_sq(gap, out=sq), out=sq_dist)
+
+    clip = (want_dist and isinstance(domain, Polyhedron) and domain.dim == 1
+            and not domain._faces)
+    extremes = [(extreme, first[0][..., 0].copy()) for extreme, bound in (
+        (np.minimum, domain._lower[0]), (np.maximum, domain._upper[0]))
+        if math.isfinite(bound)] if clip else []
     for x, _, x_ref, _ in itertools.chain([first], steps):
-        if want_dist:
-            np.subtract(x, domain.project(x, out=gap), out=gap)
-            np.maximum(sq_dist, row_norm_sq(gap, out=sq), out=sq_dist)
+        if clip:
+            for extreme, ext in extremes:
+                extreme(ext, x[..., 0], out=ext)
+        elif want_dist:
+            fold_dist(x)
         if want_err:
             np.subtract(x, x_ref, out=gap)
             np.maximum(sq_err, row_norm_sq(gap, out=sq), out=sq_err)
+    for _, ext in extremes:
+        fold_dist(ext[..., None])
     return SweepResult(
         levels=tuple(levels),
         sup_dist=np.sqrt(sq_dist) if want_dist else None,

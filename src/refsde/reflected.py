@@ -8,14 +8,10 @@ grows only while ``X`` sits on the boundary.
 Two constructions are provided. ``skorokhod_map_halfline`` is the exact
 discrete one-sided reflection (running-maximum formula) for a half-line.
 ``projected_euler`` projects every Euler update back onto the domain and
-records the projection displacements as the regulator; it is a recorded
-one-path run of the step loop ``rates._lockstep``, which steps the sweeps'
-reference too. On a half-line it coincides with the running-maximum
-construction applied to its own realized driver, which is used as a
-cross-validation oracle.
-
-``verify_skorokhod`` turns the contract into four nonnegative diagnostics
-so that any trajectory claiming to solve the problem can be audited.
+records the projection displacements as the regulator. On a half-line it
+coincides with the running-maximum construction applied to its own
+realized driver, which is used as a cross-validation oracle.
+``verify_skorokhod`` audits any trajectory against the contract.
 """
 
 from dataclasses import dataclass
@@ -104,9 +100,8 @@ def projected_euler(domain, coeffs, path, x0):
     """Reference reflected trajectory: project each Euler update back.
 
     A one-path run of the sweep's step loop with the reference alone. The
-    regulator collects the projection displacements; the realized driver
-    (initial point plus accumulated unconstrained increments) is stored so
-    the Skorokhod contract can be verified against it.
+    realized driver, ``x0`` plus the unconstrained increments, is kept for
+    ``verify_skorokhod``.
     """
     from .rates import _lockstep  # rates imports this module
     inc = path.increments[:, None]

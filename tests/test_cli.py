@@ -173,6 +173,20 @@ def test_p_list_range_enforced():
         parse_config(base_config(p_list=[0.5]), "dist-rate")
 
 
+def test_p_list_duplicates_and_empty_list_rejected(tmp_path, capsys):
+    # 2 and 2.0 are one p: merging them would drop a requested table.
+    for bad in ([2, 1, 2], [2, 2.0]):
+        with pytest.raises(ConfigError, match="distinct"):
+            parse_config(base_config(p_list=bad), "dist-rate")
+    with pytest.raises(ConfigError, match="must not be empty"):
+        parse_config(base_config(p_list=[]), "dist-rate")
+    for bad, message in (([2, 1, 2], "distinct"), ([], "not be empty")):
+        path = write_config(tmp_path, base_config(p_list=bad))
+        out = tmp_path / "out"
+        assert main(["dist-rate", "--config", path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err and not out.exists()
+
+
 def test_euler_guard_is_config_error():
     cfg = base_config(scheme="euler", n_list=[4, 512])  # h = 1/256
     with pytest.raises(ConfigError, match="unstable"):

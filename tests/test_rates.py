@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracle import coarsen, penalized_loop, reference_loop
 
 from refsde.brownian import (TimeGrid, halve_increments, sample_increments,
@@ -199,29 +200,35 @@ def test_brownian_modulus_slope_smoke():
 # sweep's own step loop.
 
 def check_sweep_against_oracle(domain, coeffs, x0, levels, num_paths, seed,
-                               scheme="splitting"):
+                               scheme="splitting", log2_steps=8):
     """The sweep's sups and terminal states against the per-point loops.
 
     The sweep keeps running maxima of squared norms and roots them at the
     end; the oracle takes the maximum of ``domain.distance`` and
-    ``row_norm`` at every step. They must agree bitwise.
+    ``row_norm`` at every step. They must agree bitwise. Returns the
+    sweep's result and the oracle's level states ``(P, L, M + 1, d)``.
     """
-    grid = TimeGrid.from_log2(1.0, 8)
+    grid = TimeGrid.from_log2(1.0, log2_steps)
     x0 = np.array(x0, dtype=float)
     res = _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, seed,
                        scheme, ref_steps=grid.steps, want_err=True,
                        want_dist=True)
+    states = np.empty((num_paths, len(levels), grid.steps + 1, domain.dim))
+    max_dist = np.empty((len(levels), num_paths))
     for pi in range(num_paths):
         path = sample_path(grid, seed, pi, dim=domain.dim)
         ref = reference_loop(domain, coeffs, path, x0)[0]
         for li, n in enumerate(levels):
-            states, _, max_dist = penalized_loop(domain, coeffs, path, x0, n,
-                                                 scheme)
-            sup = max(float(row_norm(a - b)) for a, b in zip(states, ref))
+            states[pi, li], _, max_dist[li, pi] = penalized_loop(
+                domain, coeffs, path, x0, n, scheme)
+            sup = max(float(row_norm(a - b))
+                      for a, b in zip(states[pi, li], ref))
             assert res.sup_err[li, pi] == sup
-            assert res.sup_dist[li, pi] == max_dist
-            assert np.array_equal(res.terminal[li, pi], states[-1])
+            assert np.array_equal(res.terminal[li, pi], states[pi, li, -1])
         assert np.array_equal(res.ref_terminal[pi], ref[-1])
+    np.testing.assert_array_equal(res.sup_dist.view(np.uint64),
+                                  max_dist.view(np.uint64))
+    return res, states
 
 
 def test_sweep_matches_per_path_api_bitwise():
@@ -259,6 +266,89 @@ def test_sweep_matches_per_path_api_every_domain(name, scheme):
     domain, coeffs, x0 = SWEEP_DOMAINS[name]
     check_sweep_against_oracle(domain, make_coefficients(coeffs), x0,
                                [16.0, 256.0], 3, 17, scheme)
+
+
+# -- sup distance from running extremes -----------------------------------------
+
+def dist_project_calls(domain, coeffs, x0, monkeypatch):
+    """The ``project`` calls that the sup distance adds to a sweep."""
+    calls = []
+    project = type(domain).project
+
+    def counting(self, x, out=None):
+        calls.append(x.shape)
+        return project(self, x, out)
+
+    monkeypatch.setattr(type(domain), "project", counting)
+    grid = TimeGrid.from_log2(1.0, 5)
+    counts = []
+    for want_dist in (False, True):
+        del calls[:]
+        _sweep_paths(domain, coeffs, np.array(x0), grid, [8.0, 32.0], 3, 5,
+                     "splitting", ref_steps=None, want_err=False,
+                     want_dist=want_dist)
+        counts.append(len(calls))
+    return counts[1] - counts[0]
+
+
+# name: (domain, coefficients, x0, distance project calls per sweep on a
+# 2^5 grid; None for the per-step fold, once per grid time)
+CLIP_DOMAINS = {
+    "halfline": (HalfLine(-0.75), "ou1d", [-0.75], 1),
+    "box-both-sides": (Box(lower=[0.0], upper=[0.3]), "schmidt1d", [0.1], 2),
+    "negative-zero": (HalfLine(0.0), "ou1d", [-0.0], 1),
+    "upper-only": (Box(lower=[-np.inf], upper=[0.1]), "ou1d", [0.0], 1),
+    "two-faces": (Polyhedron(normals=[[1.0], [-1.0]], offsets=[0.2, 0.1]),
+                  "ou1d", [0.0], 2),
+    "faceless": (Polyhedron(normals=np.zeros((0, 1)), offsets=np.zeros(0)),
+                 "ou1d", [0.0], 0),
+    # Not exactly -1, so the normal stays a face, on the per-step path.
+    "near-unit-normal": (Polyhedron(normals=[[-1.0 + 1e-12]],
+                                    offsets=[0.0]), "ou1d", [0.0], None),
+    "ball-1d": (Ball(center=[0.0], radius=0.2), "ou1d", [0.0], None),
+}
+
+
+@pytest.mark.parametrize("scheme", ["euler", "splitting"])
+@pytest.mark.parametrize("name", sorted(CLIP_DOMAINS))
+def test_one_dimensional_sup_distance_matches_oracle(name, scheme):
+    domain, coeffs, x0, _ = CLIP_DOMAINS[name]
+    res, states = check_sweep_against_oracle(
+        domain, make_coefficients(coeffs), x0, [16.0, 256.0], 6, 23, scheme)
+    if name == "faceless":
+        assert not np.any(res.sup_dist.view(np.uint64))  # all +0.0
+    else:  # some path leaves at every level
+        assert np.all(np.any(res.sup_dist > 0.0, axis=1))
+    if name == "box-both-sides":
+        # Some path leaves below and some above, at every level.
+        assert np.all(np.any(states.min(axis=2) < 0.0, axis=0))
+        assert np.all(np.any(states.max(axis=2) > 0.3, axis=0))
+
+
+@pytest.mark.parametrize("name", sorted(CLIP_DOMAINS))
+def test_clip_domains_project_once_per_bound(name, monkeypatch):
+    # An interval folds its distances once per finite bound at the end;
+    # every other domain once per grid time (2^5 steps and time 0).
+    domain, coeffs, x0, calls = CLIP_DOMAINS[name]
+    got = dist_project_calls(domain, make_coefficients(coeffs), x0,
+                             monkeypatch)
+    assert got == (2 ** 5 + 1 if calls is None else calls)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(-1.0, 0.5), width=st.floats(0.01, 1.0),
+       finite=st.sampled_from([(True, True), (True, False), (False, True),
+                               (False, False)]),
+       u=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 64 - 1),
+       scheme=st.sampled_from(["euler", "splitting"]))
+def test_interval_sup_distance_matches_oracle(a, width, finite, u, seed,
+                                              scheme):
+    # x0 = a + u * width rounds into [a, a + width], inside every interval.
+    lo = a if finite[0] else -np.inf
+    hi = a + width if finite[1] else np.inf
+    check_sweep_against_oracle(Box(lower=[lo], upper=[hi]),
+                               make_coefficients("ou1d"), [a + u * width],
+                               [8.0, 32.0], 3, seed, scheme, log2_steps=5)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "splitting"])

@@ -14,8 +14,18 @@ in pairs 2, 4, 6, ...
 For every end-to-end metric of ``CHANGE_TREE/BENCHMARK.json`` it prints the
 parent and change medians, the relative change, the interquartile range of
 the parent's runs and the number of pairs the change won (ties count for
-neither side), then the runs' ``correct`` and ``failed`` counts. The runs
-write their scratch files where ``run.py`` puts them, under each tree's
+neither side), and on a second line two verdicts. ``gain`` holds when the
+change won at least nine tenths of the pairs run and its median is better
+than the parent's by more than the parent's interquartile range, else
+``no gain``. ``within bound`` holds when the change's median is no worse
+than the parent's by more than the metric's ``bound``, a fraction of the
+parent's median, else ``exceeds bound``; it is ``unresolved`` instead when
+the parent's interquartile range is wider than the bound and not every
+change run beats every parent run.
+Then it prints the runs' ``correct`` and ``failed`` counts. A run that
+exits nonzero or prints no result line is recorded as failed, and its pair
+is left out of the medians and counts as not won. The runs write their
+scratch files where ``run.py`` puts them, under each tree's
 ``.perfbench/``; this script writes nothing itself.
 """
 
@@ -28,13 +38,20 @@ from pathlib import Path
 
 
 def run_once(tree, workload, seed, seconds):
-    """The result record (last stdout line) of one ``run.py`` run."""
+    """The result record (last stdout line) of one ``run.py`` run, or None
+    if the run exits nonzero or prints no JSON result line."""
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds),
          "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return None
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
 
 
 def quartiles(values):
@@ -45,21 +62,40 @@ def quartiles(values):
 
 
 def summarize(metrics, parent, change):
-    """One line per metric: medians, relative change, parent IQR, wins."""
+    """Two lines per metric: medians, relative change, parent IQR and wins,
+    then the two verdicts; pairs with a failed run (None) are left out."""
+    pairs = [(x, y) for x, y in zip(parent, change)
+             if x is not None and y is not None]
     lines = []
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
-        a = [r["metrics"][name]["value"] for r in parent]
-        b = [r["metrics"][name]["value"] for r in change]
+        if not pairs:
+            lines.append(f"{name} ({spec['unit']}): no pair without a "
+                         f"failed run")
+            continue
+        a = [x["metrics"][name]["value"] for x, _ in pairs]
+        b = [y["metrics"][name]["value"] for _, y in pairs]
         wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
         ma, mb = statistics.median(a), statistics.median(b)
         q1, q3 = quartiles(a)
+        gain = (ma - mb) if lower else (mb - ma)
+        gained = 10 * wins >= 9 * len(parent) and gain > q3 - q1
+        if q3 - q1 > spec["bound"] * abs(ma) and not (
+                max(b) < min(a) if lower else min(b) > max(a)):
+            bound = "unresolved"
+        elif -gain <= spec["bound"] * abs(ma):
+            bound = "within bound"
+        else:
+            bound = "exceeds bound"
         lines.append(f"{name} ({spec['unit']}): {ma:.4g} -> {mb:.4g} "
                      f"({(mb - ma) / ma:+.1%}), parent IQR {q3 - q1:.3g}, "
-                     f"change won {wins}/{len(a)}")
+                     f"change won {wins}/{len(parent)}")
+        lines.append(f"  {name}: {'gain' if gained else 'no gain'}; "
+                     f"{bound} {spec['bound']:.0%}")
     for side, runs in (("parent", parent), ("change", change)):
-        lines.append(f"{side}: correct {[r['correct'] for r in runs]}, "
-                     f"failed {[r['failed'] for r in runs]}")
+        lines.append(
+            f"{side}: correct {[r and r['correct'] for r in runs]}, "
+            f"failed {['run' if r is None else r['failed'] for r in runs]}")
     return lines
 
 
