@@ -326,42 +326,36 @@ def run(config, out_dir):
 
 
 def _run_validate(config):
-    checks = []
     domain, coeffs = config.domain, config.coefficients
-    checks.append({"name": "domain_construction", "passed": True,
-                   "detail": type(domain).__name__})
-    checks.append({"name": "x0_in_domain", "passed": True,
-                   "detail": f"dist = {float(domain.distance(config.x0)):.3e}"})
-
+    checks = [("domain_construction", True, type(domain).__name__),
+              ("x0_in_domain", True,
+               f"dist = {float(domain.distance(config.x0)):.3e}")]
     if coeffs.growth_constant is not None:
         rep = check_linear_growth(coeffs, coeffs.growth_constant,
                                   rng_seed=config.master_seed)
-        checks.append({"name": "linear_growth", "passed": bool(rep.passed),
-                       "detail": f"max ratio {rep.max_ratio:.6g} vs "
-                                 f"C = {rep.constant:.6g}"})
+        checks.append(("linear_growth", rep.passed, f"max ratio "
+                       f"{rep.max_ratio:.6g} vs C = {rep.constant:.6g}"))
     if coeffs.lipschitz_constant is not None:
         rep = check_lipschitz(coeffs, coeffs.lipschitz_constant,
                               rng_seed=config.master_seed)
-        checks.append({"name": "lipschitz", "passed": bool(rep.passed),
-                       "detail": f"max quotient {rep.max_quotient:.6g} vs "
-                                 f"L = {rep.constant:.6g}"})
+        checks.append(("lipschitz", rep.passed, f"max quotient "
+                       f"{rep.max_quotient:.6g} vs L = {rep.constant:.6g}"))
 
     pts = sample_points(domain, 2000, seed=config.master_seed, spread=3.0)
     twice = domain.project(pts)
     idem = float(np.max(row_norm(domain.project(twice) - twice)))
-    checks.append({"name": "projection_idempotent", "passed": idem <= 1e-10,
-                   "detail": f"max drift {idem:.3e}"})
+    checks.append(("projection_idempotent", idem <= 1e-10,
+                   f"max drift {idem:.3e}"))
     rng = np.random.default_rng(config.master_seed)
     z = rng.standard_normal((2000, domain.dim)) * 3.0
     gap_out = row_norm(domain.project(z) - domain.project(pts))
     gap_in = row_norm(z - pts)
     nonexp = float(np.max(gap_out - gap_in))
-    checks.append({"name": "projection_nonexpansive",
-                   "passed": nonexp <= 1e-10,
-                   "detail": f"max excess {nonexp:.3e}"})
-
-    return {"checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    checks.append(("projection_nonexpansive", nonexp <= 1e-10,
+                   f"max excess {nonexp:.3e}"))
+    checks = [{"name": name, "passed": bool(passed), "detail": detail}
+              for name, passed, detail in checks]
+    return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
 def _rate_summary(config, tables):

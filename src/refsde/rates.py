@@ -139,16 +139,15 @@ def fit_rate(table, regressor="ln_n_over_n", band=None):
              / math.fsum(a * a for a in dr))
     intercept = e_mean - slope * r_mean
     resid = [b - (slope * a + intercept) for a, b in zip(r, e)]
-    report_band = None if band is None else tuple(band)
     passed = None
-    if report_band is not None:
-        lo, hi = report_band
+    if band is not None:
+        lo, hi = band = tuple(band)
         passed = bool((lo is None or slope >= lo)
                       and (hi is None or slope <= hi))
     return RateReport(
         table=table, regressor=regressor, slope=slope, intercept=intercept,
         residual_rms=math.sqrt(math.fsum(v * v for v in resid) / count),
-        band=report_band, passed=passed,
+        band=band, passed=passed,
     )
 
 
@@ -219,9 +218,8 @@ def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
         inc = sample_increments(grid, master_seed, range(lo, hi), 1)[..., 0]
         w_vals = np.concatenate(
             [np.zeros((hi - lo, 1)), np.cumsum(inc, axis=1)], axis=1)
-        ranges = _window_ranges(w_vals, [windows[i] for i in order])
-        for pos, i in enumerate(order):
-            sups[i, lo:hi] = ranges[pos]
+        sups[order, lo:hi] = _window_ranges(w_vals,
+                                            [windows[i] for i in order])
     return error_tables(levels, sups, [p])[p]
 
 
@@ -248,10 +246,10 @@ class SweepResult:
     there, but pairwise along a contiguous axis."""
 
     levels: tuple
-    sup_dist: Optional[np.ndarray]      # (L, P) sup boundary distances
-    sup_err: Optional[np.ndarray]       # (L, P) sup gaps to the reference
     terminal: np.ndarray                # (L, P, d)
     ref_terminal: Optional[np.ndarray]  # (P, d), None without a reference
+    sup_dist: Optional[np.ndarray] = None  # (L, P) sup boundary distances
+    sup_err: Optional[np.ndarray] = None   # (L, P) sup gaps to the reference
 
 
 def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
@@ -395,16 +393,48 @@ def _sample_block(finest, master_seed, num_paths, d, factor, b0, b1):
 
 
 def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
-                 scheme, ref_steps, want_err, want_dist):
-    """Integrate all levels (and the reference) along shared paths.
+                 scheme, ref_steps, **folds):
+    """Integrate all levels (and the reference) along shared sampled paths,
+    without penalty increments, into a ``SweepResult`` whose fields named by
+    the keywords hold their ``folds``' results. A fold ``fold(domain, first)
+    -> (step, result)`` is built once from ``_lockstep``'s first yield, after
+    the input checks; ``step`` receives every yield unchanged, from time 0
+    on, and ``result()`` runs once, at the end."""
+    run = _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme,
+                    ref_steps, _increment_blocks(grid, ref_steps, master_seed,
+                                                 num_paths, domain.dim))
+    first = next(run)  # the input checks, before anything is allocated
+    running = {name: fold(domain, first) for name, fold in folds.items()}
+    for y in itertools.chain([first], run):
+        for step, _ in running.values():
+            step(y)
+    x, _, x_ref, _ = first  # overwritten in place: the final states
+    return SweepResult(
+        levels=tuple(levels), terminal=x.copy(order="C"),
+        ref_terminal=None if x_ref is None else x_ref.copy(order="C"),
+        **{name: result() for name, (_, result) in running.items()})
 
-    Feeds ``_lockstep`` with sampled increments and returns a
-    ``SweepResult``. Per grid step, besides ``_lockstep``'s states, this
-    computes only the squared distances ``row_norm_sq(x - project(x))`` and
-    squared errors ``row_norm_sq(x - x_ref)`` asked for, and folds them into
-    running maxima; no penalty increments. The gaps go through one scratch
-    array in the states' layout, which ``project`` writes as its ``out``,
-    and their squared norms through one ``(L, P)`` array.
+
+def _sup_fold(first, gap):
+    """A fold of per-path sups over the grid times: ``gap(y, out)`` writes
+    a yield's gaps into ``out``, in the level states' layout, and ``step``
+    folds their ``row_norm_sq`` into a running maximum that ``result`` roots.
+    """
+    sq_max, sq = np.zeros(first[0].shape[:-1]), np.empty(first[0].shape[:-1])
+    out = np.empty_like(first[0])
+
+    def step(y):
+        np.maximum(sq_max, row_norm_sq(gap(y, out), out=sq), out=sq_max)
+    return step, lambda: np.sqrt(sq_max)
+
+
+def _sup_err(domain, first):
+    """The fold of the sup gaps ``|x - x_ref|`` to the reference."""
+    return _sup_fold(first, lambda y, out: np.subtract(y[0], y[2], out=out))
+
+
+def _sup_dist(domain, first):
+    """The fold of the sup distances ``|x - project(x)|`` to the domain.
 
     On a one-dimensional polyhedron that is a plain clip (no remaining
     faces), a step only folds the state into a running minimum per finite
@@ -415,44 +445,24 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     an extreme, and ``_guard`` keeps NaN out. A ball's closed form is not
     monotone in floating point, so it keeps the per-step fold, as d >= 2 does.
     """
-    blocks = _increment_blocks(grid, ref_steps, master_seed, num_paths,
-                               domain.dim)
-    steps = _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme,
-                      ref_steps, blocks)
-    first = next(steps)  # the input checks, before anything is allocated
-    shape = (len(levels), num_paths)
-    sq_err = np.zeros(shape) if want_err else None
-    sq_dist = np.zeros(shape) if want_dist else None
-    if want_err or want_dist:
-        gap = np.moveaxis(np.empty((domain.dim,) + shape), 0, -1)
-        sq = np.empty(shape)
-
-    def fold_dist(x):
-        np.subtract(x, domain.project(x, out=gap), out=gap)
-        np.maximum(sq_dist, row_norm_sq(gap, out=sq), out=sq_dist)
-
-    clip = (want_dist and isinstance(domain, Polyhedron) and domain.dim == 1
-            and not domain._faces)
-    extremes = [(extreme, first[0][..., 0].copy()) for extreme, bound in (
+    fold, root = _sup_fold(first, lambda y, out: np.subtract(
+        y[0], domain.project(y[0], out=out), out=out))
+    if not (isinstance(domain, Polyhedron) and domain.dim == 1
+            and not domain._faces):
+        return fold, root
+    extremes = [(extreme, first[0].copy()) for extreme, bound in (
         (np.minimum, domain._lower[0]), (np.maximum, domain._upper[0]))
-        if math.isfinite(bound)] if clip else []
-    for x, _, x_ref, _ in itertools.chain([first], steps):
-        if clip:
-            for extreme, ext in extremes:
-                extreme(ext, x[..., 0], out=ext)
-        elif want_dist:
-            fold_dist(x)
-        if want_err:
-            np.subtract(x, x_ref, out=gap)
-            np.maximum(sq_err, row_norm_sq(gap, out=sq), out=sq_err)
-    for _, ext in extremes:
-        fold_dist(ext[..., None])
-    return SweepResult(
-        levels=tuple(levels),
-        sup_dist=np.sqrt(sq_dist) if want_dist else None,
-        sup_err=np.sqrt(sq_err) if want_err else None,
-        terminal=x.copy(order="C"),
-        ref_terminal=None if x_ref is None else x_ref.copy(order="C"))
+        if math.isfinite(bound)]
+
+    def step(y):
+        for extreme, ext in extremes:
+            extreme(ext, y[0], out=ext)
+
+    def result():
+        for _, ext in extremes:
+            fold((ext,))  # a yield with the extremes as its states
+        return root()
+    return step, result
 
 
 def _guard(x, step, levels=None):
@@ -502,8 +512,7 @@ def _pooled_norm(sups, p):
         se_mean = 0.0
     if mean <= 0.0:
         return 0.0, 0.0
-    err = mean ** (1.0 / p)
-    return err, float(se_mean / (p * mean ** ((p - 1.0) / p)))
+    return mean ** (1.0 / p), float(se_mean / (p * mean ** ((p - 1.0) / p)))
 
 
 def error_tables(levels, sups, p_list=(2.0,)):
@@ -511,12 +520,14 @@ def error_tables(levels, sups, p_list=(2.0,)):
 
     Raises ``RateFitError`` naming n and p where a pooled norm or its
     standard error overflows; numpy's overflow warnings are silenced, since
-    the error says it.
+    the error says it, and ``ValueError`` for a p repeated in ``p_list``.
     """
     if sups.ndim != 2 or sups.shape[0] != len(levels) or sups.shape[1] < 1:
         raise ValueError("sups must be (levels, paths), with a path or more")
     tables = {}
     for p in p_list:
+        if p in tables:
+            raise ValueError(f"p_list repeats p = {p:g}")
         rows = []
         for i, n in enumerate(levels):
             try:
@@ -538,8 +549,7 @@ def boundary_distance_sweep(domain, coeffs, x0, grid, levels, num_paths,
     """Per-path sup distances ``sup_dist`` of the penalized process to the
     domain."""
     return _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
-                        master_seed, scheme, ref_steps=None, want_err=False,
-                        want_dist=True)
+                        master_seed, scheme, None, sup_dist=_sup_dist)
 
 
 def strong_error_sweep(domain, coeffs, x0, grid, levels, num_paths,
@@ -547,17 +557,14 @@ def strong_error_sweep(domain, coeffs, x0, grid, levels, num_paths,
     """Per-path sup gaps ``sup_err`` to the projected-Euler reference."""
     return _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
                         master_seed, scheme,
-                        ref_steps=reference_steps or grid.steps,
-                        want_err=True, want_dist=False)
+                        reference_steps or grid.steps, sup_err=_sup_err)
 
 
 def weak_compare(domain, coeffs, x0, grid, levels, num_paths, master_seed,
                  scheme="splitting", reference_steps=None):
     """Terminal states of the levels and of the projected-Euler reference."""
     return _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
-                        master_seed, scheme,
-                        ref_steps=reference_steps or grid.steps,
-                        want_err=False, want_dist=False)
+                        master_seed, scheme, reference_steps or grid.steps)
 
 
 WEAK_FUNCTIONALS = ("mean", "second_moment", "cdf")
@@ -593,8 +600,7 @@ def weak_rows(result, functional):
 
 
 def _cdf_distance(a, b):
-    a = np.sort(a)
-    b = np.sort(b)
+    a, b = np.sort(a), np.sort(b)
     grid_pts = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, grid_pts, side="right") / a.shape[0]
     cdf_b = np.searchsorted(b, grid_pts, side="right") / b.shape[0]

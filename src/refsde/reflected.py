@@ -159,9 +159,8 @@ def verify_skorokhod(traj, driver=None, num_samples=1000, seed=7):
             u = dirs[lo:lo + chunk]
             # <y - x, u> for all sampled y: (pts @ u.T) - rowwise <x, u>
             inner = pts @ u.T - np.sum(a * u, axis=-1)
-            worst = -float(np.min(inner))
-            direction = max(direction, worst)
-        direction = max(0.0, direction)
+            # From 0.0, so never negative.
+            direction = max(direction, -float(np.min(inner)))
 
     return SkorokhodReport(
         containment_violation=containment,

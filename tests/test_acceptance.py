@@ -6,14 +6,17 @@ of paths on a 2^16 grid and take a few minutes total.
 """
 
 import numpy as np
+import pytest
 
 from refsde.brownian import TimeGrid, sample_increments, sample_path
 from refsde.cli import parse_config, run
 from refsde.coefficients import make_coefficients
 from refsde.geometry import Ball, Box, HalfLine, Polyhedron, sample_points
 from refsde.rates import (
+    _sup_dist,
+    _sup_err,
+    _sweep_paths,
     brownian_modulus_table,
-    boundary_distance_sweep,
     error_tables,
     fit_rate,
     monotone_decreasing,
@@ -44,10 +47,19 @@ def quadrant():
     return Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]], offsets=[0.0, 0.0])
 
 
-def test_criterion_1_boundary_distance_rate():
-    res = boundary_distance_sweep(
+@pytest.fixture(scope="module")
+def halfline_sweep():
+    """Criterion 1's sup distances and criterion 2's half-line sup gaps,
+    from one sweep: both integrate the same levels along the same paths.
+    ``test_rates`` checks that its two folds give the public sweeps' bits."""
+    return _sweep_paths(
         HalfLine(0.0), make_coefficients("ou1d"), np.array([0.0]), FINE,
-        LEVELS, 400, SEED, scheme="splitting")
+        LEVELS, 400, SEED, "splitting", FINE.steps, sup_dist=_sup_dist,
+        sup_err=_sup_err)
+
+
+def test_criterion_1_boundary_distance_rate(halfline_sweep):
+    res = halfline_sweep
     table = error_tables(res.levels, res.sup_dist, p_list=[2.0])[2.0]
     fit = fit_rate(table, "ln_n_over_n")
     decreasing = monotone_decreasing(table, sigmas=2.0)
@@ -57,17 +69,16 @@ def test_criterion_1_boundary_distance_rate():
            f"decreasing net 2 SE: {decreasing}")
 
 
-def test_criterion_2_polyhedral_strong_rate():
+def test_criterion_2_polyhedral_strong_rate(halfline_sweep):
     cases = [
-        ("half-line", HalfLine(0.0), "ou1d", [0.0]),
-        ("quadrant", quadrant(), "quadrant2d", [0.0, 0.0]),
+        ("half-line", halfline_sweep),
+        ("quadrant", strong_error_sweep(
+            quadrant(), make_coefficients("quadrant2d"), np.array([0.0, 0.0]),
+            FINE, LEVELS, 400, SEED, scheme="splitting",
+            reference_steps=FINE.steps)),
     ]
     details, ok = [], True
-    for label, domain, coeffs_name, x0 in cases:
-        res = strong_error_sweep(
-            domain, make_coefficients(coeffs_name), np.array(x0), FINE,
-            LEVELS, 400, SEED, scheme="splitting",
-            reference_steps=FINE.steps)
+    for label, res in cases:
         table = error_tables(res.levels, res.sup_err, p_list=[2.0])[2.0]
         fit = fit_rate(table, "ln_n_over_n")
         decreasing = monotone_decreasing(table, sigmas=2.0)

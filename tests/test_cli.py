@@ -13,6 +13,7 @@ from refsde.cli import load_config, main, parse_config, run
 from refsde.coefficients import check_linear_growth, check_lipschitz, \
     make_coefficients
 from refsde.errors import ConfigError
+from refsde.rates import error_tables
 
 
 def base_config(**overrides):
@@ -185,6 +186,14 @@ def test_p_list_duplicates_and_empty_list_rejected(tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["dist-rate", "--config", path, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err and not out.exists()
+
+
+def test_error_tables_reject_a_repeated_p():
+    # The library call behind the CLI: tables are keyed by p, so a repeated
+    # p would return fewer tables than were asked for.
+    for bad, named in (([2, 1, 2.0], "p = 2$"), ([1.5, 1.5], "p = 1.5$")):
+        with pytest.raises(ValueError, match=named):
+            error_tables([4, 8], np.ones((2, 3)), bad)
 
 
 def test_euler_guard_is_config_error():

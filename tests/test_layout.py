@@ -184,7 +184,7 @@ def test_lockstep_states_stay_coordinate_major(dom, coeffs):
         first = first or (x, x_ref)
         assert x is first[0] and x_ref is first[1]
     res = rates._sweep_paths(dom, coeffs, x0, grid, [16, 64, 256], 50, 3,
-                             "splitting", 2 * grid.steps, want_err=True,
-                             want_dist=True)
+                             "splitting", 2 * grid.steps,
+                             sup_err=rates._sup_err, sup_dist=rates._sup_dist)
     assert res.terminal.flags.c_contiguous
     assert res.ref_terminal.flags.c_contiguous

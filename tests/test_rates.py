@@ -25,6 +25,8 @@ from refsde.rates import (
     strong_error_sweep,
     weak_compare,
     weak_rows,
+    _sup_dist,
+    _sup_err,
     _sweep_paths,
 )
 from refsde.reflected import projected_euler, skorokhod_map_halfline
@@ -81,6 +83,24 @@ def test_error_tables_reject_sups_of_the_wrong_shape():
     for sups in (np.ones((3, 4)), np.ones((2, 0)), np.ones(2)):
         with pytest.raises(ValueError, match="sups must be"):
             error_tables([16, 32], sups)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_error_tables_stderr_is_the_delta_method(p):
+    # Written out here, not through _pooled_norm: the mean of v = sup^p
+    # has standard error sd(v) / sqrt(P), and the delta method for
+    # mean^(1/p) divides it by p * mean^((p - 1) / p). The means are not
+    # 1, so dropping the exponent's (p - 1) changes every value.
+    sups = np.array([[0.5, 1.5, 2.0, 3.25, 0.75],
+                     [0.1, 0.4, 0.2, 0.3, 0.25]])
+    (table,) = error_tables([8, 16], sups, [p]).values()
+    for row, s in zip(table.rows, sups):
+        v = s ** p
+        mean = v.mean()
+        assert row.error == pytest.approx(mean ** (1 / p), rel=1e-13)
+        assert row.stderr == pytest.approx(
+            v.std(ddof=1) / np.sqrt(v.size) / (p * mean ** ((p - 1) / p)),
+            rel=1e-12)
 
 
 def test_fit_rate_recovers_exact_exponents():
@@ -211,8 +231,8 @@ def check_sweep_against_oracle(domain, coeffs, x0, levels, num_paths, seed,
     grid = TimeGrid.from_log2(1.0, log2_steps)
     x0 = np.array(x0, dtype=float)
     res = _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, seed,
-                       scheme, ref_steps=grid.steps, want_err=True,
-                       want_dist=True)
+                       scheme, ref_steps=grid.steps, sup_err=_sup_err,
+                       sup_dist=_sup_dist)
     states = np.empty((num_paths, len(levels), grid.steps + 1, domain.dim))
     max_dist = np.empty((len(levels), num_paths))
     for pi in range(num_paths):
@@ -268,6 +288,24 @@ def test_sweep_matches_per_path_api_every_domain(name, scheme):
                                [16.0, 256.0], 3, 17, scheme)
 
 
+@pytest.mark.parametrize("name", ["halfline", "quadrant"])
+def test_two_fold_sweep_matches_the_one_fold_sweeps_bitwise(name):
+    # One sweep with both folds, as acceptance criteria 1 and 2 share, on
+    # the running-extremes and the per-step distance fold: a same-grid
+    # reference leaves the levels' increments as they are.
+    domain, coeffs, x0 = SWEEP_DOMAINS[name]
+    grid = TimeGrid.from_log2(1.0, 6)
+    args = (domain, make_coefficients(coeffs), np.array(x0), grid,
+            [16, 64, 256], 20, 7)
+    both = _sweep_paths(*args, "splitting", ref_steps=grid.steps,
+                        sup_dist=_sup_dist, sup_err=_sup_err)
+    dist, err = boundary_distance_sweep(*args), strong_error_sweep(*args)
+    assert both.sup_dist.tobytes() == dist.sup_dist.tobytes()
+    assert both.sup_err.tobytes() == err.sup_err.tobytes()
+    assert both.terminal.tobytes() == dist.terminal.tobytes()
+    assert both.ref_terminal.tobytes() == err.ref_terminal.tobytes()
+
+
 # -- sup distance from running extremes -----------------------------------------
 
 def dist_project_calls(domain, coeffs, x0, monkeypatch):
@@ -282,11 +320,10 @@ def dist_project_calls(domain, coeffs, x0, monkeypatch):
     monkeypatch.setattr(type(domain), "project", counting)
     grid = TimeGrid.from_log2(1.0, 5)
     counts = []
-    for want_dist in (False, True):
+    for folds in ({}, {"sup_dist": _sup_dist}):
         del calls[:]
         _sweep_paths(domain, coeffs, np.array(x0), grid, [8.0, 32.0], 3, 5,
-                     "splitting", ref_steps=None, want_err=False,
-                     want_dist=want_dist)
+                     "splitting", ref_steps=None, **folds)
         counts.append(len(calls))
     return counts[1] - counts[0]
 
@@ -360,8 +397,8 @@ def test_sweep_guard_passes_finite_states_whose_sum_overflows(scheme):
         warnings.simplefilter("error")
         res = _sweep_paths(HalfLine(0.0), zero_field(1), np.array([1e308]),
                            grid, [4.0, 16.0], 5, 3, scheme,
-                           ref_steps=grid.steps, want_err=True,
-                           want_dist=True)
+                           ref_steps=grid.steps, sup_err=_sup_err,
+                           sup_dist=_sup_dist)
     assert np.all(res.terminal == 1e308)
     assert np.all(res.ref_terminal == 1e308)
     assert np.all(res.sup_err == 0.0) and np.all(res.sup_dist == 0.0)
@@ -378,7 +415,7 @@ def test_sweep_refined_reference_matches_per_path_api_bitwise():
     x0 = np.array([0.0])
     levels = [16.0, 256.0]
     res = _sweep_paths(domain, coeffs, x0, grid, levels, 5, 31, "splitting",
-                       ref_steps=fine.steps, want_err=True, want_dist=False)
+                       ref_steps=fine.steps, sup_err=_sup_err)
     for pi in range(5):
         path = sample_path(fine, 31, pi)
         ref = reference_loop(domain, coeffs, path, x0)[0]
@@ -425,7 +462,7 @@ def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, block_words):
     grid = TimeGrid.from_log2(1.0, 5)
     x0 = np.array([0.0, 0.0])
     args = (domain, coeffs, x0, grid, [16.0, 256.0], 5, 13, "splitting")
-    kw = dict(ref_steps=4 * grid.steps, want_err=True, want_dist=True)
+    kw = dict(ref_steps=4 * grid.steps, sup_err=_sup_err, sup_dist=_sup_dist)
     assert rates._BLOCK_WORDS >= 5 * 2 * 4 * grid.steps
     whole = _sweep_paths(*args, **kw)
     monkeypatch.setattr(rates, "_BLOCK_WORDS", block_words)
@@ -498,7 +535,8 @@ def test_one_increment_block_in_flight(monkeypatch, factor):
         _sweep_paths(HalfLine(0.0), make_coefficients("ou1d"),
                      np.array([0.0]), grid, [16.0, 256.0], num_paths, 5,
                      "splitting", ref_steps=ref_steps,
-                     want_err=factor is not None, want_dist=factor is None)
+                     **({"sup_dist": _sup_dist} if factor is None
+                        else {"sup_err": _sup_err}))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -519,7 +557,7 @@ def test_sweep_rows_independent_of_batch_quadrant():
     coeffs = make_coefficients("quadrant2d")
     grid = TimeGrid.from_log2(1.0, 7)
     x0 = np.array([0.0, 0.0])
-    kw = dict(ref_steps=grid.steps, want_err=True, want_dist=True)
+    kw = dict(ref_steps=grid.steps, sup_err=_sup_err, sup_dist=_sup_dist)
     small = _sweep_paths(domain, coeffs, x0, grid, [16.0, 256.0], 3, 7,
                          "splitting", **kw)
     large = _sweep_paths(domain, coeffs, x0, grid, [16.0, 256.0], 10, 7,
@@ -558,8 +596,7 @@ def test_sweep_non_finite_guard_names_first_bad_row():
         assert li == 1 and pi > 0
         with pytest.raises(IntegrationError) as err:
             _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, 5,
-                         "splitting", ref_steps=None, want_err=False,
-                         want_dist=True)
+                         "splitting", ref_steps=None, sup_dist=_sup_dist)
     assert err.value.step_index == step
     assert err.value.level == levels[li]
     assert err.value.path_index == pi
@@ -599,8 +636,8 @@ def test_sweep_non_finite_guard_names_first_bad_row_2d():
         assert li == 2 and pi > 0
         with pytest.raises(IntegrationError, match="level n = 16384") as err:
             _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, 5,
-                         "splitting", ref_steps=fine.steps, want_err=True,
-                         want_dist=True)
+                         "splitting", ref_steps=fine.steps,
+                         sup_err=_sup_err, sup_dist=_sup_dist)
     assert err.value.step_index == step
     assert err.value.level == levels[li]
     assert err.value.path_index == pi
@@ -675,8 +712,7 @@ def test_halfline_map_reference_matches_projected_euler():
     x0 = np.array([0.0])
     levels = [64, 1024]
     res = _sweep_paths(domain, coeffs, x0, grid, levels, 12, 11,
-                       "splitting", ref_steps=grid.steps, want_err=True,
-                       want_dist=False)
+                       "splitting", ref_steps=grid.steps, sup_err=_sup_err)
     for pi in range(12):
         path = sample_path(grid, 11, pi)
         driver = reference_loop(domain, coeffs, path, x0)[3][:, 0]
