@@ -337,18 +337,13 @@ def _split_faces(normals, offsets):
 
 
 def _runs(lower, upper):
-    """The coordinates with a finite bound in ``lower`` or ``upper``, as
-    maximal runs of adjacent coordinates with bitwise equal bounds,
-    ``(slice, lo, hi)``; a run over every coordinate is
-    ``(Ellipsis, lo, hi)``."""
-    runs = []
-    for j in np.flatnonzero(np.isfinite(lower) | np.isfinite(upper)).tolist():
-        lo, hi = float(lower[j]), float(upper[j])
-        same = runs and runs[-1][0].stop == j and (
-            runs[-1][1].hex(), runs[-1][2].hex()) == (lo.hex(), hi.hex())
-        start = runs.pop()[0].start if same else j
-        runs.append((slice(start, j + 1), lo, hi))
-    if len(runs) == 1 and runs[0][0] == slice(0, len(lower)):
+    """The coordinates with a finite bound in ``lower`` or ``upper`` as
+    ``(j, lo, hi)``, or one ``(Ellipsis, lo, hi)`` if every coordinate has
+    a finite bound and all have bitwise equal bounds."""
+    runs = [(j, float(lower[j]), float(upper[j])) for j in np.flatnonzero(
+        np.isfinite(lower) | np.isfinite(upper)).tolist()]
+    if len(runs) == len(lower) and len({(lo.hex(), hi.hex())
+                                        for _, lo, hi in runs}) == 1:
         return [(Ellipsis,) + runs[0][1:]]
     return runs
 
@@ -359,7 +354,7 @@ def _copy(x, out):
 
 
 def _clip_columns(x, runs, out=None):
-    """``x`` with each run of columns clipped as one slab to its scalar
+    """``x`` with each run, a column or all of them, clipped to its scalar
     bounds, or ``x`` itself if there are none; a copy keeps its layout. Scalar
     bounds keep a value inside them bit for bit, ``-0.0`` included, whatever
     the batch; array bounds can return a zero bound's ``-0.0`` as ``+0.0``.

@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import (_TILE_PATHS, TimeGrid, halve_increments,
-                       sample_increments)
+from .brownian import TimeGrid, halve_increments, sample_increments
 from .errors import IntegrationError, RateFitError
 from .geometry import Polyhedron, row_norm, row_norm_sq
 from .penalized import euler_step, splitting_step
@@ -48,10 +47,21 @@ __all__ = [
     "WEAK_FUNCTIONALS",
 ]
 
+# Increment words (paths x steps x d) sampled at once: per time block of a
+# sweep, per path chunk of ``brownian_modulus_table``.
+_BLOCK_WORDS = 2 ** 20
+
 
 # ---------------------------------------------------------------------------
 # Tables and fits.
 # ---------------------------------------------------------------------------
+
+def _level(n):
+    """The level ``n`` as an int; ``ValueError`` unless a positive integer."""
+    if not (float(n).is_integer() and n > 0):
+        raise ValueError(f"level n = {n} is not a positive integer")
+    return int(n)
+
 
 @dataclass(frozen=True)
 class ErrorRow:
@@ -184,27 +194,19 @@ def _window_ranges(vals, windows):
             tmax = np.maximum(tmax[:, :-size], tmax[:, size:])
             tmin = np.minimum(tmin[:, :-size], tmin[:, size:])
             size *= 2
-        rem = length - size
-        if rem == 0:
-            rng = tmax - tmin
-        else:
-            n_out = vals.shape[1] - w
-            rng = (np.maximum(tmax[:, :n_out], tmax[:, rem:rem + n_out])
-                   - np.minimum(tmin[:, :n_out], tmin[:, rem:rem + n_out]))
+        # At rem = 0 both lookups are the whole table: max(a, a) is a.
+        rem, n_out = length - size, vals.shape[1] - w
+        rng = (np.maximum(tmax[:, :n_out], tmax[:, rem:rem + n_out])
+               - np.minimum(tmin[:, :n_out], tmin[:, rem:rem + n_out]))
         out.append(np.max(rng, axis=1))
     return out
-
-
-# Paths per sampling chunk of ``brownian_modulus_table``; rows are
-# independent, so the chunk size changes only the memory footprint.
-_MODULUS_CHUNK_PATHS = 64
 
 
 def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
     """Pooled L^p norm of the Brownian modulus at scales 1/n, per level."""
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
-    levels = [int(n) for n in levels]
+    levels = [_level(n) for n in levels]
     windows = []
     for n in levels:
         w = int(np.floor(1.0 / (n * grid.step) * (1 + 1e-12)))
@@ -213,8 +215,9 @@ def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
         windows.append(w)
     order = np.argsort(windows)  # ascending windows for the shared tables
     sups = np.empty((len(levels), num_paths))
-    for lo in range(0, num_paths, _MODULUS_CHUNK_PATHS):
-        hi = min(lo + _MODULUS_CHUNK_PATHS, num_paths)
+    chunk = max(1, _BLOCK_WORDS // grid.steps)  # rows are independent
+    for lo in range(0, num_paths, chunk):
+        hi = min(lo + chunk, num_paths)
         inc = sample_increments(grid, master_seed, range(lo, hi), 1)[..., 0]
         w_vals = np.concatenate(
             [np.zeros((hi - lo, 1)), np.cumsum(inc, axis=1)], axis=1)
@@ -226,10 +229,6 @@ def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
 # ---------------------------------------------------------------------------
 # Lockstep sweep engine.
 # ---------------------------------------------------------------------------
-
-# Fine increment words (paths x steps x d) sampled per time block.
-_BLOCK_WORDS = 2 ** 20
-
 
 @dataclass(frozen=True)
 class WeakRow:
@@ -293,8 +292,9 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
         raise ValueError("num_paths must be >= 1")
     levels = [float(n) for n in levels]
     if (not (levels or ref_steps)
-            or any(b <= a for a, b in zip(levels, levels[1:]))):
-        raise ValueError("levels must be nonempty and strictly increasing")
+            or any(not b > a for a, b in zip([0.0] + levels, levels))):
+        raise ValueError(
+            "levels must be nonempty, positive and strictly increasing")
     h = grid.step
     level = np.array(levels)[:, None, None]
     kw = {"penalty": increments}
@@ -364,8 +364,9 @@ def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
     least one, so the sums match a whole-path generation bitwise.
     ``_lockstep`` drops it before the next is sampled, so the increments
     take one block of at most ``max(_BLOCK_WORDS, P * d * factor)`` fine
-    words (8 MiB unless a coarse step alone is larger), its sums and two
-    sampling tiles of ``_TILE_PATHS`` paths, however many steps there are."""
+    words (8 MiB unless a coarse step alone is larger), its sums, two of the
+    sampler's tiles and, while the sums are formed, at factor 4 or more one
+    halving of half a block, however many steps there are."""
     m = grid.steps
     finest = TimeGrid(grid.horizon, ref_steps or m)
     factor = finest.steps // m
@@ -379,17 +380,13 @@ def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
 
 def _sample_block(finest, master_seed, num_paths, d, factor, b0, b1):
     """The pair of ``_increment_blocks`` for coarse steps ``b0:b1``, from
-    one ``sample_increments`` call; the sums are taken one tile at a time."""
+    one ``sample_increments`` call; the sums keep the block's memory order,
+    and at factor 1 they are the fine block itself."""
     fine = np.empty(((b1 - b0) * factor, d, num_paths)).transpose(2, 0, 1)
     sample_increments(finest, master_seed, range(num_paths), d,
                       step_lo=b0 * factor, step_hi=b1 * factor, out=fine)
-    if factor == 1:
-        return (fine.transpose(1, 0, 2),) * 2
-    coarse = np.empty((b1 - b0, d, num_paths)).transpose(2, 0, 1)
-    for p0 in range(0, num_paths, _TILE_PATHS):
-        tile = slice(p0, p0 + _TILE_PATHS)
-        coarse[tile] = halve_increments(fine[tile], factor)
-    return coarse.transpose(1, 0, 2), fine.transpose(1, 0, 2)
+    return (halve_increments(fine, factor).transpose(1, 0, 2),
+            fine.transpose(1, 0, 2))
 
 
 def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
@@ -538,7 +535,7 @@ def error_tables(levels, sups, p_list=(2.0,)):
             if not (math.isfinite(err) and math.isfinite(se)):
                 raise RateFitError(
                     f"the pooled error overflows at n = {n:g}, p = {p:g}")
-            rows.append(ErrorRow(level=int(n), num_paths=sups.shape[1],
+            rows.append(ErrorRow(level=_level(n), num_paths=sups.shape[1],
                                  error=err, stderr=se, p=p))
         tables[p] = ErrorTable(rows=tuple(rows))
     return tables
@@ -594,7 +591,7 @@ def weak_rows(result, functional):
                               - np.mean(np.sum(ref_terminal ** 2, axis=-1))))
         else:
             value = _cdf_distance(terminal[i][:, 0], ref_terminal[:, 0])
-        rows.append(WeakRow(level=int(n), num_paths=terminal.shape[1],
+        rows.append(WeakRow(level=_level(n), num_paths=terminal.shape[1],
                             functional=functional, value=value))
     return tuple(rows)
 

@@ -136,7 +136,7 @@ def test_coordinate_faces_on_coupled_coordinates_stay_faces():
                               [0.0, 0.0, -1.0], [0.0, SQ2, SQ2],
                               [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
                      offsets=[0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
-    assert dom._runs == [(slice(0, 1), 0.0, 2.0)]
+    assert dom._runs == [(0, 0.0, 2.0)]
     assert dom._faces == [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
                           [0.0, SQ2, SQ2]]
     assert len(dom._active_sets) == 6  # 3 single faces and 3 pairs
@@ -155,19 +155,18 @@ def signed_runs(runs):
 @pytest.mark.parametrize("runs, expected", [
     # Half-line: one bounded coordinate, so one run over all of them.
     (HalfLine(0.0)._runs, [(Ellipsis, 0.0, np.inf)]),
-    # Quadrant: equal bounds on adjacent coordinates merge into one run.
+    # Quadrant: equal bounds on every coordinate make one run.
     (quadrant()._runs, [(Ellipsis, 0.0, np.inf)]),
-    # Three adjacent coordinates with three different bound pairs.
+    # Three coordinates with three different bound pairs, one run each.
     (Box([0.0, -1.0, -np.inf], [2.0, 0.0, 0.0])._runs,
-     [(slice(0, 1), 0.0, 2.0), (slice(1, 2), -1.0, 0.0),
-      (slice(2, 3), -np.inf, 0.0)]),
+     [(0, 0.0, 2.0), (1, -1.0, 0.0), (2, -np.inf, 0.0)]),
     # Bounds that differ only in the sign of a zero are not bitwise equal,
     # so they stay separate runs. A Box's faces turn both zeros into +0.0,
     # so these runs are built from the bound arrays themselves.
     (geometry._runs(np.array([0.0, -0.0]), np.array([1.0, 1.0])),
-     [(slice(0, 1), 0.0, 1.0), (slice(1, 2), -0.0, 1.0)]),
+     [(0, 0.0, 1.0), (1, -0.0, 1.0)]),
     (geometry._runs(np.array([-1.0, -1.0]), np.array([0.0, -0.0])),
-     [(slice(0, 1), -1.0, 0.0), (slice(1, 2), -1.0, -0.0)]),
+     [(0, -1.0, 0.0), (1, -1.0, -0.0)]),
 ], ids=["halfline", "quadrant", "box3d", "signed-lower", "signed-upper"])
 def test_runs_table(runs, expected):
     assert signed_runs(runs) == signed_runs(expected)

@@ -13,7 +13,7 @@ from refsde.coefficients import CoefficientField, make_coefficients
 from refsde.errors import IntegrationError, RateFitError
 from refsde.geometry import Ball, Box, HalfLine, Polyhedron, row_norm
 from refsde.penalized import splitting_penalized
-from refsde import rates
+from refsde import brownian, rates
 from refsde.rates import (
     ErrorRow,
     ErrorTable,
@@ -202,6 +202,42 @@ def test_modulus_against_naive_scan():
     want = naive_window_ranges(vals, WINDOWS)
     for g, w in zip(got, want):
         assert g.shape == (3,) and np.all(g == w)
+
+
+def test_brownian_modulus_table_samples_within_the_block_budget(monkeypatch):
+    # 64 paths on 2^10 steps, sampled _BLOCK_WORDS increments at a time,
+    # and one whole path when the budget holds none: a chunk's increments,
+    # their running sums and the sparse tables take about nine budgets,
+    # never 64 paths at once. Rows are independent, so the table's bytes
+    # do not depend on the chunk.
+    grid = TimeGrid.from_log2(1.0, 10)
+    args = (grid, [4, 16, 64, 256], 64, 7)
+    want = brownian_modulus_table(*args)
+    for words in (1, 3 * grid.steps + 5, 2 ** 13):
+        monkeypatch.setattr(rates, "_BLOCK_WORDS", words)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = brownian_modulus_table(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * max(words, grid.steps), words
+        assert got.errors.tobytes() == want.errors.tobytes()
+        assert got.stderrs.tobytes() == want.stderrs.tobytes()
+
+
+def test_brownian_modulus_table_rejects_non_integral_levels():
+    grid = TimeGrid.from_log2(1.0, 6)
+    with pytest.raises(ValueError,
+                       match="^level n = 4.7 is not a positive integer$"):
+        brownian_modulus_table(grid, [2, 4.7, 8, 16], 3, 3)
+    # Unchecked, n = 0 divided by zero and n = -4 was "too coarse".
+    for n in (0, -4):
+        with pytest.raises(ValueError, match=f"^level n = {n} is not a"):
+            brownian_modulus_table(grid, [n, 8], 3, 3)
+    table = brownian_modulus_table(grid, [2.0, 4.0, 8.0, 16.0], 3, 3)
+    assert table.levels.tolist() == [2, 4, 8, 16]
 
 
 def test_brownian_modulus_slope_smoke():
@@ -472,7 +508,7 @@ def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, block_words):
         assert b.shape == w.shape and b.tobytes() == w.tobytes()
 
 
-_TILE = rates._TILE_PATHS
+_TILE = brownian._TILE_PATHS
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -683,6 +719,44 @@ def test_sweeps_reject_fewer_than_one_path(num_paths):
             sweep(*args)
     with pytest.raises(ValueError, match="^num_paths must be >= 1$"):
         brownian_modulus_table(grid, [2, 4], num_paths, 3)
+
+
+@pytest.mark.parametrize("levels", [[-8, 0, 4], [-40], [0.0], [np.nan, 4]])
+def test_sweeps_reject_non_positive_levels(levels):
+    # Unchecked, a negative level is a penalty that pushes outward: the
+    # sweeps returned a sup error of 477 at n = -8 and sup distances of
+    # 1.2e16 at n = -40, with no error. The per-path integrators run the
+    # same step loop, so they refuse the first level too.
+    domain, coeffs, x0 = HalfLine(0.0), make_coefficients("ou1d"), [0.0]
+    grid = TimeGrid(1.0, 64)
+    for sweep in (boundary_distance_sweep, strong_error_sweep, weak_compare):
+        with pytest.raises(ValueError, match="positive"):
+            sweep(domain, coeffs, np.array(x0), grid, levels, 20, 1)
+    with pytest.raises(ValueError, match="positive"):
+        splitting_penalized(domain, coeffs, sample_path(grid, 1, 0), x0,
+                            levels[0])
+
+
+def test_error_tables_reject_non_integral_levels():
+    # Truncated, these labelled the rows 16 and 32, and fit_rate fitted
+    # at the wrong n.
+    sups = np.ones((4, 3))
+    with pytest.raises(ValueError,
+                       match="^level n = 16.5 is not a positive integer$"):
+        error_tables([16.5, 32.7, 64, 128], sups)
+    (table,) = error_tables([16.0, 32.0, 64.0, 128.0], sups).values()
+    assert [row.level for row in table.rows] == [16, 32, 64, 128]
+
+
+def test_weak_rows_reject_non_integral_levels():
+    args = (HalfLine(0.0), make_coefficients("ou1d"), np.array([0.0]),
+            TimeGrid.from_log2(1.0, 4))
+    res = weak_compare(*args, [4.0, 16.5], 3, 3)
+    with pytest.raises(ValueError,
+                       match="^level n = 16.5 is not a positive integer$"):
+        weak_rows(res, "mean")
+    rows = weak_rows(weak_compare(*args, [4.0, 16.0], 3, 3), "mean")
+    assert [row.level for row in rows] == [4, 16]
 
 
 def test_weak_rows_need_a_reference():
