@@ -22,8 +22,9 @@ __all__ = ["TimeGrid", "BrownianPath", "sample_path", "sample_increments"]
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
-# Paths per tile of the ``sample_increments`` pipeline; no bit depends on it.
-_TILE_PATHS = 32
+# Words per tile of the ``sample_increments`` pipeline (128 KiB of uniforms,
+# rounded down to whole paths, at least one); no bit depends on it.
+_TILE_WORDS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,10 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
     is a pure function of the arguments: one Philox generator is re-keyed
     to ``(master_seed, p)`` for each path, with its counter at the range's
     first 4-word block and an empty buffer, so no state passes between
-    paths or calls. Past one tile of ``_TILE_PATHS`` paths, one helper thread
-    runs the inverse CDF of a tile while this thread draws the next, and is
-    joined before the return. The result is ``out`` (any layout) or a C array.
+    paths or calls. A tile is as many whole paths as fit in ``_TILE_WORDS``
+    words, and at least one; past one tile, one helper thread runs the
+    inverse CDF of a tile while this thread draws the next, and is joined
+    before the return. The result is ``out`` (any layout) or a C array.
     """
     master_seed = int(master_seed)
     if not 0 <= master_seed <= _MASK64:
@@ -136,15 +138,16 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
         z *= np.sqrt(grid.step)
         out[p0:p0 + len(z)] = z.reshape(len(z), n_steps, dim)
 
-    if len(idx) <= _TILE_PATHS:
+    tile = max(1, _TILE_WORDS // max(1, count))
+    if len(idx) <= tile:
         z = uniforms(idx)
         store(0, ndtri(z, out=z))
         return out
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = None
-        for p0 in range(0, len(idx), _TILE_PATHS):
-            z = uniforms(idx[p0:p0 + _TILE_PATHS])
+        for p0 in range(0, len(idx), tile):
+            z = uniforms(idx[p0:p0 + tile])
             job = p0, helper.submit(ndtri, z, out=z)
             if pending:
                 store(pending[0], pending[1].result())

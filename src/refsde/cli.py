@@ -255,6 +255,10 @@ def parse_config(raw, kind):
             band = tuple(None if b is None
                          else _convert(b, float, "slope_band entry")
                          for b in band)
+            if not all(b is None or math.isfinite(b) for b in band):
+                raise ConfigError("slope_band entries must be finite or null")
+            if None not in band and band[0] > band[1]:
+                raise ConfigError("slope_band must have lo <= hi")
         cfg.update(regressor=regressor, slope_band=band)
 
     return ExperimentConfig(**cfg)

@@ -196,31 +196,45 @@ def _window_ranges(vals, windows):
             size *= 2
         # At rem = 0 both lookups are the whole table: max(a, a) is a.
         rem, n_out = length - size, vals.shape[1] - w
-        rng = (np.maximum(tmax[:, :n_out], tmax[:, rem:rem + n_out])
-               - np.minimum(tmin[:, :n_out], tmin[:, rem:rem + n_out]))
+        rng = np.maximum(tmax[:, :n_out], tmax[:, rem:rem + n_out])
+        rng -= np.minimum(tmin[:, :n_out], tmin[:, rem:rem + n_out])
         out.append(np.max(rng, axis=1))
     return out
 
 
 def brownian_modulus_table(grid, levels, num_paths, master_seed, p=2.0):
-    """Pooled L^p norm of the Brownian modulus at scales 1/n, per level."""
+    """Pooled L^p norm of the Brownian modulus at scales 1/n, per level.
+
+    Paths are sampled in chunks of ``_BLOCK_WORDS // grid.steps`` (at least
+    one) into one zero-prefixed ``(chunk, steps + 1)`` buffer, which holds
+    their running sums in place and serves every chunk. Besides it, a
+    chunk keeps the sampler's tiles while it samples, then in
+    ``_window_ranges`` the current maximum and minimum tables and at most
+    two more arrays of up to one budget each: a table being doubled, the
+    previous window's range, the new range or its minimum term. That is
+    about five budgets at the peak, however many paths or steps there are.
+    """
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
     levels = [_level(n) for n in levels]
     windows = []
     for n in levels:
-        w = int(np.floor(1.0 / (n * grid.step) * (1 + 1e-12)))
+        w = int(np.floor(1.0 / (n * grid.step)))
         if w < 1:
             raise ValueError(f"grid too coarse for level {n}")
         windows.append(w)
     order = np.argsort(windows)  # ascending windows for the shared tables
     sups = np.empty((len(levels), num_paths))
-    chunk = max(1, _BLOCK_WORDS // grid.steps)  # rows are independent
+    # Rows are independent, so the chunk moves no bit.
+    chunk = min(num_paths, max(1, _BLOCK_WORDS // grid.steps))
+    buf = np.zeros((chunk, grid.steps + 1))
     for lo in range(0, num_paths, chunk):
         hi = min(lo + chunk, num_paths)
-        inc = sample_increments(grid, master_seed, range(lo, hi), 1)[..., 0]
-        w_vals = np.concatenate(
-            [np.zeros((hi - lo, 1)), np.cumsum(inc, axis=1)], axis=1)
+        w_vals = buf[:hi - lo]
+        sums = w_vals[:, 1:]
+        sample_increments(grid, master_seed, range(lo, hi), 1,
+                          out=sums[..., None])
+        np.cumsum(sums, axis=1, out=sums)
         sups[order, lo:hi] = _window_ranges(w_vals,
                                             [windows[i] for i in order])
     return error_tables(levels, sups, [p])[p]
@@ -359,18 +373,23 @@ def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
     """Sampled increment pairs for ``_lockstep``: fine increments for the
     reference and their ``factor``-step sums for the levels, time-major
     ``(steps, P, d)`` blocks in ``(steps, d, P)`` memory, so that every step
-    reads a contiguous ``(P, d)`` slab, one plane per coordinate. A block is
-    as many whole coarse steps as fit in ``_BLOCK_WORDS`` fine words, and at
-    least one, so the sums match a whole-path generation bitwise.
-    ``_lockstep`` drops it before the next is sampled, so the increments
-    take one block of at most ``max(_BLOCK_WORDS, P * d * factor)`` fine
-    words (8 MiB unless a coarse step alone is larger), its sums, two of the
-    sampler's tiles and, while the sums are formed, at factor 4 or more one
-    halving of half a block, however many steps there are."""
+    reads a contiguous ``(P, d)`` slab, one plane per coordinate. The
+    ``m`` coarse steps go into the fewest blocks that fit in
+    ``_BLOCK_WORDS`` fine words (a block holds at least one coarse step),
+    all of one length but a shorter last one: 4,096 steps where 2,621 fit
+    give 2,048 + 2,048, not 2,621 + 1,475. The sums match a whole-path
+    generation bitwise. ``_lockstep`` drops a block before the next is
+    sampled, so the increments take one block of at most
+    ``max(_BLOCK_WORDS, P * d * factor)`` fine words (8 MiB unless a coarse
+    step alone is larger), its sums, two of the sampler's tiles and, while
+    the sums are formed, at factor 4 or more one halving of half a block,
+    however many steps there are."""
     m = grid.steps
     finest = TimeGrid(grid.horizon, ref_steps or m)
     factor = finest.steps // m
-    block = max(1, _BLOCK_WORDS // max(1, num_paths * d * factor))
+    most = max(1, _BLOCK_WORDS // max(1, num_paths * d * factor))
+    blocks = -(-m // most)  # ceil(m / most): the fewest that fit
+    block = -(-m // blocks)  # at most ``most``, and gives ``blocks`` blocks
     for b0 in range(0, m, block):
         # Yielded straight from the call, so the suspended generator holds
         # no reference to the block.
@@ -380,8 +399,10 @@ def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
 
 def _sample_block(finest, master_seed, num_paths, d, factor, b0, b1):
     """The pair of ``_increment_blocks`` for coarse steps ``b0:b1``, from
-    one ``sample_increments`` call; the sums keep the block's memory order,
-    and at factor 1 they are the fine block itself."""
+    one ``sample_increments`` call, which fills the fine block in tiles of
+    whole paths of at most ``brownian._TILE_WORDS`` words where a path fits;
+    the sums keep the block's memory order, and at factor 1 they are the
+    fine block itself."""
     fine = np.empty(((b1 - b0) * factor, d, num_paths)).transpose(2, 0, 1)
     sample_increments(finest, master_seed, range(num_paths), d,
                       step_lo=b0 * factor, step_hi=b1 * factor, out=fine)

@@ -94,15 +94,18 @@ def test_sampler_matches_fresh_philox_per_path(dim):
             assert got.tobytes() == want.tobytes()
 
 
-_TILE = brownian._TILE_PATHS
+# Paths per tile in the tests below, which size ``_TILE_WORDS`` to it.
+_TILE = 32
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("num_paths", [1, _TILE - 1, _TILE + 1, 2 * _TILE + 3])
-def test_sampler_out_gives_the_allocating_bytes(num_paths, dim):
+def test_sampler_out_gives_the_allocating_bytes(monkeypatch, num_paths, dim):
     # ``out`` C-ordered and as the (P, steps, d) view of (steps, d, P)
     # memory that a sweep block passes; step 5 starts at word 5 * dim,
-    # which is not a multiple of 4 for any of these dims.
+    # which is not a multiple of 4 for any of these dims. Tiles of _TILE
+    # paths of 26 steps, so the path counts lie on both sides of one tile.
+    monkeypatch.setattr(brownian, "_TILE_WORDS", _TILE * 26 * dim)
     g = TimeGrid(1.0, 64)
     paths = range(3, 3 + num_paths)
     want = sample_increments(g, 29, paths, dim, step_lo=5, step_hi=31)
@@ -123,9 +126,34 @@ def test_sampler_bytes_do_not_depend_on_the_tile(monkeypatch, tile):
     g = TimeGrid(1.0, 64)
     paths = [70, 0, 5, 2, 9, 64, 1]
     want = fresh_philox_increments(g, 41, paths, 3, 3, 50)
-    monkeypatch.setattr(brownian, "_TILE_PATHS", tile)
+    monkeypatch.setattr(brownian, "_TILE_WORDS", tile * 47 * 3)
     got = sample_increments(g, 41, paths, 3, step_lo=3, step_hi=50)
     assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("steps,dim,num_paths", [
+    (1024, 2, 40),   # 8 paths of 2,046 words per tile
+    (1024, 3, 5),    # one tile of 5 paths, no helper thread
+    (8192, 3, 3),    # a path of 24,573 words is its own tile
+])
+def test_sampler_tiles_stay_within_their_word_budget(monkeypatch, steps, dim,
+                                                      num_paths):
+    # No inverse-CDF tile exceeds _TILE_WORDS words, or one path where a
+    # path alone is larger; the tiles cover every word once.
+    sizes = []
+
+    def recorded_ndtri(z, out):
+        sizes.append(z.size)
+        return ndtri(z, out=out)
+
+    monkeypatch.setattr(brownian, "ndtri", recorded_ndtri)
+    g = TimeGrid(1.0, steps)
+    got = sample_increments(g, 5, range(num_paths), dim, step_lo=1)
+    words = (steps - 1) * dim
+    assert max(sizes) <= max(brownian._TILE_WORDS, words)
+    assert sum(sizes) == num_paths * words
+    want = fresh_philox_increments(g, 5, range(num_paths), dim, 1, steps)
     assert got.tobytes() == want.tobytes()
 
 
@@ -137,7 +165,7 @@ def test_concurrent_pipelined_calls_keep_their_bits(monkeypatch):
     paths = list(range(9))
     want = {seed: fresh_philox_increments(g, seed, paths, 2, 1, 40).tobytes()
             for seed in range(4)}
-    monkeypatch.setattr(brownian, "_TILE_PATHS", 1)
+    monkeypatch.setattr(brownian, "_TILE_WORDS", 1)
     got = {}
 
     def caller(seed):
@@ -162,8 +190,9 @@ def test_concurrent_pipelined_calls_keep_their_bits(monkeypatch):
 
 def test_sampler_joins_its_helper_thread():
     # Three tiles, so the call runs its helper; none is left once it returns.
+    tile = brownian._TILE_WORDS // (256 * 2)
     before = threading.active_count()
-    sample_increments(TimeGrid(1.0, 256), 3, range(2 * _TILE + 1), 2)
+    sample_increments(TimeGrid(1.0, 256), 3, range(2 * tile + 1), 2)
     assert threading.active_count() == before
 
 

@@ -132,12 +132,18 @@ def test_rate_kinds_reject_level_one(kind, tmp_path, capsys):
     ("coefficients", {"name": "ou1d", "kappa": float("inf")}),
     ("coefficients", {"name": "ou1d", "kappa": float("-inf")}),
     ("coefficients", {"name": "ou1d", "sigma0": float("nan")}),
+    # A band that no slope can meet; NaN and Infinity are not RFC 8259
+    # JSON, so rate_report.json could not carry them either.
+    ("slope_band", [float("nan"), None]),
+    ("slope_band", [0.35, float("inf")]),
+    ("slope_band", [float("-inf"), 0.70]),
+    ("slope_band", [0.70, 0.35]),
 ])
 def test_malformed_values_are_config_errors(tmp_path, capsys, key, value):
     path = write_config(tmp_path, base_config(**{key: value}))
     code = main(["dist-rate", "--config", path,
                  "--out", str(tmp_path / "out")])
-    assert code == 2
+    assert code == 2 and not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert "config error" in err
     if key == "coefficients" and all(v is not True for v in value.values()):

@@ -206,10 +206,11 @@ def test_modulus_against_naive_scan():
 
 def test_brownian_modulus_table_samples_within_the_block_budget(monkeypatch):
     # 64 paths on 2^10 steps, sampled _BLOCK_WORDS increments at a time,
-    # and one whole path when the budget holds none: a chunk's increments,
-    # their running sums and the sparse tables take about nine budgets,
-    # never 64 paths at once. Rows are independent, so the table's bytes
-    # do not depend on the chunk.
+    # and one whole path when the budget holds none: the running sums and
+    # the sparse tables take about five budgets, and numpy's fixed 64 KiB
+    # ufunc buffers add up to two more at budgets this small (5.9-7.2 in
+    # all), never 64 paths at once. Rows are independent, so the table's
+    # bytes do not depend on the chunk.
     grid = TimeGrid.from_log2(1.0, 10)
     args = (grid, [4, 16, 64, 256], 64, 7)
     want = brownian_modulus_table(*args)
@@ -222,7 +223,7 @@ def test_brownian_modulus_table_samples_within_the_block_budget(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 8 * max(words, grid.steps), words
+        assert peak <= 8 * 8 * max(words, grid.steps), words
         assert got.errors.tobytes() == want.errors.tobytes()
         assert got.stderrs.tobytes() == want.stderrs.tobytes()
 
@@ -508,7 +509,8 @@ def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, block_words):
         assert b.shape == w.shape and b.tobytes() == w.tobytes()
 
 
-_TILE = brownian._TILE_PATHS
+# Paths per sampler tile in a whole block of the test below.
+_TILE = 32
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -516,12 +518,15 @@ _TILE = brownian._TILE_PATHS
 @pytest.mark.parametrize("factor", [1, 2, 4])
 def test_increment_blocks_match_whole_path_sampling(monkeypatch, factor,
                                                     num_paths, d):
-    # Blocks of 3 of the 16 coarse steps, the last one partial. The block
-    # at step 3 starts at fine word 3 * factor * d, which is not a multiple
-    # of 4 for factors 1 and 2 and odd d (and for factor 1, d = 2).
+    # Blocks of 3 of the 16 coarse steps, the last one partial, sampled in
+    # tiles of _TILE paths, so the path counts lie on both sides of one
+    # tile. The block at step 3 starts at fine word 3 * factor * d, which is
+    # not a multiple of 4 for factors 1 and 2 and odd d (and for factor 1,
+    # d = 2).
     grid = TimeGrid.from_log2(1.0, 4)
     finest = TimeGrid(1.0, factor * grid.steps)
     monkeypatch.setattr(rates, "_BLOCK_WORDS", 3 * num_paths * d * factor)
+    monkeypatch.setattr(brownian, "_TILE_WORDS", _TILE * 3 * factor * d)
     blocks = list(rates._increment_blocks(grid, finest.steps, 17, num_paths,
                                           d))
     assert [inc.shape for inc, _ in blocks] == (
@@ -538,6 +543,24 @@ def test_increment_blocks_match_whole_path_sampling(monkeypatch, factor,
     assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
     assert coarse.tobytes() == (
         halve_increments(whole, factor).transpose(1, 0, 2).tobytes())
+
+
+@pytest.mark.parametrize("most,lengths", [
+    (10, [8, 8]), (7, [6, 6, 4]), (5, [4, 4, 4, 4])], ids=["10", "7", "5"])
+def test_increment_blocks_are_balanced(monkeypatch, most, lengths):
+    # 16 coarse steps where ``most`` fit: the fewest blocks, of one length
+    # but a shorter last one (greedy blocks of ``most`` steps leave a short
+    # tail: 10 + 6, 7 + 7 + 2, 5 + 5 + 5 + 1), with the whole-path bytes.
+    grid = TimeGrid.from_log2(1.0, 4)
+    num_paths, d, factor = 3, 2, 2
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", most * num_paths * d * factor)
+    blocks = list(rates._increment_blocks(grid, factor * grid.steps, 17,
+                                          num_paths, d))
+    assert [inc.shape[0] for inc, _ in blocks] == lengths
+    whole = sample_increments(TimeGrid(1.0, factor * grid.steps), 17,
+                              range(num_paths), d)
+    fine = np.concatenate([inc_f for _, inc_f in blocks])
+    assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
 
 
 @pytest.mark.parametrize("factor", [None, 2])

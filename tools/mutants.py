@@ -93,16 +93,18 @@ MUTANTS = (
            equivalent="on the sphere the scale is exactly 1, so a point "
                       "comes back as c + (x - c), which is x for the tests' "
                       "dyadic points there"),
-    Mutant("modulus-window-guard", RATES,
-           "1.0 / (n * grid.step) * (1 + 1e-12)", "1.0 / (n * grid.step)",
-           ("tests/test_rates.py",),
-           equivalent="with an integer n and 2^m steps, 1 / (n h) = 2^m / n "
-                      "is exact or at least 1 / n from an integer, so the "
-                      "guard moves no floor below 2^40 steps"),
     Mutant("modulus-chunk-budget", RATES,
-           "chunk = max(1, _BLOCK_WORDS // grid.steps)",
-           "chunk = max(64, _BLOCK_WORDS // grid.steps)",
+           "chunk = min(num_paths, max(1, _BLOCK_WORDS // grid.steps))",
+           "chunk = min(num_paths, max(64, _BLOCK_WORDS // grid.steps))",
            ("tests/test_rates.py",)),
+    Mutant("increment-blocks-greedy", RATES,
+           "block = -(-m // blocks)", "block = most",
+           ("tests/test_rates.py::test_increment_blocks_are_balanced",)),
+    Mutant("sampler-tile-ignores-dim", "src/refsde/brownian.py",
+           "tile = max(1, _TILE_WORDS // max(1, count))",
+           "tile = max(1, _TILE_WORDS // max(1, n_steps))",
+           ("tests/test_brownian.py::"
+            "test_sampler_tiles_stay_within_their_word_budget",)),
     Mutant("sample-block-layout", RATES,
            "halve_increments(fine, factor).transpose(1, 0, 2)",
            "np.ascontiguousarray(halve_increments(fine, factor))"
