@@ -159,6 +159,8 @@ def parse_config(raw, kind):
                                 lambda v: np.asarray(v, dtype=float), "x0"))
     if x0.shape != (domain.dim,):
         raise ConfigError(f"x0 must have {domain.dim} coordinates")
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError("x0 must be finite")
     if not domain.contains(x0, tol.MEMBERSHIP_TOL):
         raise ConfigError("x0 must lie in the domain closure")
 

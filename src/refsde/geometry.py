@@ -226,7 +226,7 @@ class Box(Polyhedron):
 
 @dataclass(frozen=True)
 class Ball(ConvexDomain):
-    """Closed euclidean ball of strictly positive radius."""
+    """Closed euclidean ball of positive, finite radius."""
 
     center: np.ndarray
     radius: float
@@ -237,7 +237,7 @@ class Ball(ConvexDomain):
             raise ValueError("ball center must be a finite 1-d point")
         r = float(self.radius)
         if not (np.isfinite(r) and r > 0):
-            raise ValueError("ball radius must be strictly positive")
+            raise ValueError("ball radius must be positive and finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
 

@@ -17,6 +17,7 @@ regressor, because the two are empirically hard to distinguish at desk scale.
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -275,7 +276,8 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     ``ref_steps`` is given, takes ``factor = ref_steps / grid.steps``
     sub-steps per grid step on its ``(P, d)`` states; ``levels`` may then be
     empty. ``blocks`` yields time-major increments: ``(s, P, d)`` for the
-    levels' next ``s`` steps and ``(s * factor, P, d)`` for the reference.
+    levels' next ``s`` steps and ``(s * factor, P, d)`` for the reference,
+    each pair read only until the next is requested.
     The states are coordinate-major, views of ``(d, L, P)`` and ``(d, P)``
     memory, so every ``x[..., j]`` a kernel reads is one contiguous plane;
     the kernels' elementwise results keep that layout, with the bits of
@@ -365,7 +367,8 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
                 _guard(x, k + 1, levels)
             k += 1
             yield x, dk, x_ref, dy
-        # Dropped before the next block is sampled: one block in flight.
+        # Dropped before the next block is requested: in process one block
+        # is in flight, and the ring refills the slot.
         del inc, inc_ref
 
 
@@ -383,31 +386,59 @@ def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
     ``max(_BLOCK_WORDS, P * d * factor)`` fine words (8 MiB unless a coarse
     step alone is larger), its sums, two of the sampler's tiles and, while
     the sums are formed, at factor 4 or more one halving of half a block,
-    however many steps there are."""
+    however many steps there are.
+
+    Increments of more than one block, where ``_spare_cpu()``, come from
+    ``_ring.ring_blocks`` instead, in blocks planned against half the
+    budget: a forked sampler process fills the next block while the step
+    loop runs. A yielded pair is then valid only until the next is
+    requested, as the states ``_lockstep`` yields are."""
     m = grid.steps
     finest = TimeGrid(grid.horizon, ref_steps or m)
     factor = finest.steps // m
     most = max(1, _BLOCK_WORDS // max(1, num_paths * d * factor))
+    ring = m > most and _spare_cpu()
+    if ring:  # two slots of half the budget
+        most = max(1, most // 2)
     blocks = -(-m // most)  # ceil(m / most): the fewest that fit
     block = -(-m // blocks)  # at most ``most``, and gives ``blocks`` blocks
-    for b0 in range(0, m, block):
-        # Yielded straight from the call, so the suspended generator holds
-        # no reference to the block.
-        yield _sample_block(finest, master_seed, num_paths, d, factor,
-                            b0, min(b0 + block, m))
+    spans = [(b0, min(b0 + block, m)) for b0 in range(0, m, block)]
+    args = finest, master_seed, num_paths, d, factor
+    if not ring:
+        # Each block is yielded straight from the call, so the suspended
+        # generator holds no reference to it.
+        yield from (_sample_block(*args, b0, b1) for b0, b1 in spans)
+        return
+    from ._ring import ring_blocks  # loaded only where a sweep forks
+    # The sampler's argument checks, on no paths, in this process: its
+    # errors keep their type.
+    sample_increments(finest, master_seed, (), d)
+    yield from ring_blocks(
+        lambda b0, b1, fine: _sample_block(*args, b0, b1, fine),
+        spans, block, num_paths, d, factor)
 
 
-def _sample_block(finest, master_seed, num_paths, d, factor, b0, b1):
+def _spare_cpu():
+    """True where a forked sampler process can run beside this one: the
+    host has ``os.fork``, and this process may run on more than one CPU."""
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    return hasattr(os, "fork") and len(cpus) > 1
+
+
+def _sample_block(finest, master_seed, num_paths, d, factor, b0, b1,
+                  fine=None):
     """The pair of ``_increment_blocks`` for coarse steps ``b0:b1``, from
-    one ``sample_increments`` call, which fills the fine block in tiles of
-    whole paths of at most ``brownian._TILE_WORDS`` words where a path fits;
-    the sums keep the block's memory order, and at factor 1 they are the
-    fine block itself."""
-    fine = np.empty(((b1 - b0) * factor, d, num_paths)).transpose(2, 0, 1)
+    one ``sample_increments`` call into ``fine`` (a block in that layout) or
+    a new block, which fills it in tiles of whole paths of at most
+    ``brownian._TILE_WORDS`` words where a path fits; the sums keep the
+    block's memory order, and at factor 1 they are the fine block itself."""
+    if fine is None:
+        fine = np.empty(((b1 - b0) * factor, d, num_paths)).transpose(0, 2, 1)
+    paths = fine.transpose(1, 0, 2)  # the sampler's (P, steps, d) axes
     sample_increments(finest, master_seed, range(num_paths), d,
-                      step_lo=b0 * factor, step_hi=b1 * factor, out=fine)
-    return (halve_increments(fine, factor).transpose(1, 0, 2),
-            fine.transpose(1, 0, 2))
+                      step_lo=b0 * factor, step_hi=b1 * factor, out=paths)
+    return halve_increments(paths, factor).transpose(1, 0, 2), fine
 
 
 def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
@@ -418,14 +449,18 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     -> (step, result)`` is built once from ``_lockstep``'s first yield, after
     the input checks; ``step`` receives every yield unchanged, from time 0
     on, and ``result()`` runs once, at the end."""
-    run = _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme,
-                    ref_steps, _increment_blocks(grid, ref_steps, master_seed,
-                                                 num_paths, domain.dim))
-    first = next(run)  # the input checks, before anything is allocated
-    running = {name: fold(domain, first) for name, fold in folds.items()}
-    for y in itertools.chain([first], run):
-        for step, _ in running.values():
-            step(y)
+    blocks = _increment_blocks(grid, ref_steps, master_seed, num_paths,
+                               domain.dim)
+    try:
+        run = _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme,
+                        ref_steps, blocks)
+        first = next(run)  # the input checks, before anything is allocated
+        running = {name: fold(domain, first) for name, fold in folds.items()}
+        for y in itertools.chain([first], run):
+            for step, _ in running.values():
+                step(y)
+    finally:
+        blocks.close()  # no sampler process outlives the sweep
     x, _, x_ref, _ = first  # overwritten in place: the final states
     return SweepResult(
         levels=tuple(levels), terminal=x.copy(order="C"),

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,16 @@ def test_kind_mismatch_rejected():
 def test_x0_outside_rejected():
     with pytest.raises(ConfigError, match="closure"):
         parse_config(base_config(x0=[-0.5]), "dist-rate")
+
+
+@pytest.mark.parametrize("x0", [np.inf, -np.inf, np.nan])
+def test_non_finite_x0_rejected_before_any_warning(x0):
+    # Checked before the membership test, whose distance of a non-finite
+    # point would warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^x0 must be finite$"):
+            parse_config(base_config(x0=[x0]), "dist-rate")
 
 
 def test_bad_n_list_rejected():

@@ -47,6 +47,13 @@ def test_ball_rejects_nonpositive_radius():
         Ball(center=[0.0], radius=0.0)
 
 
+@pytest.mark.parametrize("radius", [np.inf, np.nan])
+def test_ball_rejects_a_non_finite_radius(radius):
+    with pytest.raises(ValueError,
+                       match="^ball radius must be positive and finite$"):
+        Ball(center=[0.0], radius=radius)
+
+
 def test_polyhedron_rejects_non_unit_normals():
     with pytest.raises(ValueError, match="unit"):
         Polyhedron(normals=[[2.0, 0.0]], offsets=[1.0])

@@ -1,3 +1,7 @@
+import mmap
+import os
+import signal
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -487,12 +491,36 @@ def test_lockstep_computes_increments_only_when_asked():
         assert x_ref.tobytes() == x_ref_on.tobytes()
 
 
+@pytest.fixture
+def deadline():
+    """Fail a ring test that stalls instead of hanging: a sampler that never
+    gets a slot back waits for it forever, and so does the consumer."""
+    def stalled(signum, frame):
+        raise TimeoutError("the increment ring stalled")
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.setitimer(signal.ITIMER_REAL, 20.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def spare_cpu(monkeypatch, spare):
+    """Take the ring (``spare``) or the in-process path on any host."""
+    if spare and not hasattr(os, "fork"):
+        pytest.skip("the ring needs os.fork")
+    monkeypatch.setattr(rates, "_spare_cpu", lambda: spare)
+
+
 @pytest.mark.parametrize("block_words", [1, 120])
-def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, block_words):
+def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, deadline,
+                                                   block_words):
     # d = 2 with a 4x refined reference, so the levels step on block sums
     # that differ from the reference's fine increments. With 5 paths the
     # budget of 120 words gives blocks of 3 steps and a partial last block
-    # of 2 of the 32 steps; a budget of 1 word gives one step per block.
+    # of 2 of the 32 steps in process, and blocks of 1 step in the ring; a
+    # budget of 1 word gives one step per block on both paths.
     domain = Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]],
                         offsets=[0.0, 0.0])
     coeffs = make_coefficients("quadrant2d")
@@ -503,77 +531,104 @@ def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, block_words):
     assert rates._BLOCK_WORDS >= 5 * 2 * 4 * grid.steps
     whole = _sweep_paths(*args, **kw)
     monkeypatch.setattr(rates, "_BLOCK_WORDS", block_words)
-    blocked = _sweep_paths(*args, **kw)
-    for key in ("sup_err", "sup_dist", "terminal", "ref_terminal"):
-        b, w = getattr(blocked, key), getattr(whole, key)
-        assert b.shape == w.shape and b.tobytes() == w.tobytes()
+    for spare in (False, True):
+        spare_cpu(monkeypatch, spare)
+        blocked = _sweep_paths(*args, **kw)
+        for key in ("sup_err", "sup_dist", "terminal", "ref_terminal"):
+            b, w = getattr(blocked, key), getattr(whole, key)
+            assert b.shape == w.shape and b.tobytes() == w.tobytes()
 
 
 # Paths per sampler tile in a whole block of the test below.
 _TILE = 32
 
 
+def copied_blocks(blocks, check=None):
+    """The pairs of ``blocks``, each copied before the next is requested
+    (the ring reuses its slots), after ``check(inc, inc_f)`` on the pair."""
+    out = []
+    for inc, inc_f in blocks:
+        if check:
+            check(inc, inc_f)
+        out.append((inc.copy(), inc_f.copy()))
+    return out
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("num_paths", [1, _TILE - 1, _TILE + 1, 2 * _TILE + 3])
 @pytest.mark.parametrize("factor", [1, 2, 4])
-def test_increment_blocks_match_whole_path_sampling(monkeypatch, factor,
-                                                    num_paths, d):
-    # Blocks of 3 of the 16 coarse steps, the last one partial, sampled in
-    # tiles of _TILE paths, so the path counts lie on both sides of one
-    # tile. The block at step 3 starts at fine word 3 * factor * d, which is
-    # not a multiple of 4 for factors 1 and 2 and odd d (and for factor 1,
-    # d = 2).
+def test_increment_blocks_match_whole_path_sampling(monkeypatch, deadline,
+                                                    factor, num_paths, d):
+    # A budget of 6 coarse steps, so blocks of 3 of the 16 coarse steps in
+    # the ring's half-budget slots and of 6 in process, the last one
+    # partial, sampled in tiles of _TILE paths, so the path counts lie on
+    # both sides of one tile. The ring's block at step 3 starts at fine word
+    # 3 * factor * d, which is not a multiple of 4 for factors 1 and 2 and
+    # odd d (and for factor 1, d = 2).
     grid = TimeGrid.from_log2(1.0, 4)
     finest = TimeGrid(1.0, factor * grid.steps)
-    monkeypatch.setattr(rates, "_BLOCK_WORDS", 3 * num_paths * d * factor)
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", 6 * num_paths * d * factor)
     monkeypatch.setattr(brownian, "_TILE_WORDS", _TILE * 3 * factor * d)
-    blocks = list(rates._increment_blocks(grid, finest.steps, 17, num_paths,
-                                          d))
-    assert [inc.shape for inc, _ in blocks] == (
-        [(3, num_paths, d)] * 5 + [(1, num_paths, d)])
-    for inc, inc_f in blocks:
-        # (steps, P, d) views of (steps, d, P) memory: each step's increments
-        # are one contiguous plane per coordinate.
+    whole = sample_increments(finest, 17, range(num_paths), d)
+
+    def check(inc, inc_f):
+        # (steps, P, d) views of (steps, d, P) memory: each step's
+        # increments are one contiguous plane per coordinate.
         assert np.moveaxis(inc, -1, 1).flags.c_contiguous
         assert np.moveaxis(inc_f, -1, 1).flags.c_contiguous
         assert inc_f.shape == (factor * inc.shape[0], num_paths, d)
-    whole = sample_increments(finest, 17, range(num_paths), d)
-    fine = np.concatenate([inc_f for _, inc_f in blocks])
-    coarse = np.concatenate([inc for inc, _ in blocks])
-    assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
-    assert coarse.tobytes() == (
-        halve_increments(whole, factor).transpose(1, 0, 2).tobytes())
+
+    for spare, lengths in ((True, [3] * 5 + [1]), (False, [6, 6, 4])):
+        spare_cpu(monkeypatch, spare)
+        blocks = copied_blocks(rates._increment_blocks(
+            grid, finest.steps, 17, num_paths, d), check)
+        assert [inc.shape for inc, _ in blocks] == [
+            (s, num_paths, d) for s in lengths]
+        fine = np.concatenate([inc_f for _, inc_f in blocks])
+        coarse = np.concatenate([inc for inc, _ in blocks])
+        assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
+        assert coarse.tobytes() == (
+            halve_increments(whole, factor).transpose(1, 0, 2).tobytes())
 
 
 @pytest.mark.parametrize("most,lengths", [
     (10, [8, 8]), (7, [6, 6, 4]), (5, [4, 4, 4, 4])], ids=["10", "7", "5"])
-def test_increment_blocks_are_balanced(monkeypatch, most, lengths):
+def test_increment_blocks_are_balanced(monkeypatch, deadline, most, lengths):
     # 16 coarse steps where ``most`` fit: the fewest blocks, of one length
     # but a shorter last one (greedy blocks of ``most`` steps leave a short
     # tail: 10 + 6, 7 + 7 + 2, 5 + 5 + 5 + 1), with the whole-path bytes.
+    # The ring plans against half the budget, so a budget of ``2 * most``
+    # steps gives it the same blocks, where that is less than the 16 steps
+    # (a sweep that fits in one budget stays in process).
     grid = TimeGrid.from_log2(1.0, 4)
     num_paths, d, factor = 3, 2, 2
-    monkeypatch.setattr(rates, "_BLOCK_WORDS", most * num_paths * d * factor)
-    blocks = list(rates._increment_blocks(grid, factor * grid.steps, 17,
-                                          num_paths, d))
-    assert [inc.shape[0] for inc, _ in blocks] == lengths
     whole = sample_increments(TimeGrid(1.0, factor * grid.steps), 17,
                               range(num_paths), d)
-    fine = np.concatenate([inc_f for _, inc_f in blocks])
-    assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
+    for spare in (False, True)[:1 + (2 * most < grid.steps)]:
+        spare_cpu(monkeypatch, spare)
+        monkeypatch.setattr(rates, "_BLOCK_WORDS",
+                            (1 + spare) * most * num_paths * d * factor)
+        blocks = copied_blocks(rates._increment_blocks(
+            grid, factor * grid.steps, 17, num_paths, d))
+        assert [inc.shape[0] for inc, _ in blocks] == lengths
+        fine = np.concatenate([inc_f for _, inc_f in blocks])
+        assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
 
 
 @pytest.mark.parametrize("factor", [None, 2])
-def test_one_increment_block_in_flight(monkeypatch, factor):
+def test_one_increment_block_in_flight(monkeypatch, deadline, factor):
     # 512 paths on 2^10 steps, in blocks of 2^17 fine words (1 MiB): at
-    # least 4 blocks. Each block must be garbage by the time the first tile
-    # of the next one is sampled, so the sweep's allocations peak at one
-    # block pair plus a tile's sampling, well below two blocks.
+    # least 4 blocks. In process, each block must be garbage by the time
+    # the first tile of the next one is sampled, so the sweep's allocations
+    # peak at one block pair plus a tile's sampling, well below two blocks.
+    # In the ring, the blocks live in one mmap of two half-budget slots (and
+    # their sums), which this process maps once, and the sampler process
+    # samples them all; what this process allocates stays below one budget.
     grid = TimeGrid.from_log2(1.0, 10)
     num_paths, block_words = 512, 2 ** 17
     monkeypatch.setattr(rates, "_BLOCK_WORDS", block_words)
-    live, alive_at_sampling = [], []
-    increment_blocks = rates._increment_blocks
+    live, alive_at_sampling, maps = [], [], []
+    increment_blocks, mapping = rates._increment_blocks, mmap.mmap
 
     def recorded_blocks(*args):
         for pair in increment_blocks(*args):
@@ -585,27 +640,182 @@ def test_one_increment_block_in_flight(monkeypatch, factor):
         alive_at_sampling.append(sum(r() is not None for r in live))
         return sample_increments(*args, **kwargs)
 
+    def recorded_mmap(*args):
+        maps.append(args)
+        return mapping(*args)
+
     monkeypatch.setattr(rates, "_increment_blocks", recorded_blocks)
     monkeypatch.setattr(rates, "sample_increments", counted_sampler)
+    monkeypatch.setattr(mmap, "mmap", recorded_mmap)
     ref_steps = None if factor is None else factor * grid.steps
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _sweep_paths(HalfLine(0.0), make_coefficients("ou1d"),
-                     np.array([0.0]), grid, [16.0, 256.0], num_paths, 5,
-                     "splitting", ref_steps=ref_steps,
-                     **({"sup_dist": _sup_dist} if factor is None
-                        else {"sup_err": _sup_err}))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert len(live) // 2 >= 4
+
+    def traced_sweep(spare):
+        spare_cpu(monkeypatch, spare)
+        del live[:], alive_at_sampling[:], maps[:]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _sweep_paths(HalfLine(0.0), make_coefficients("ou1d"),
+                         np.array([0.0]), grid, [16.0, 256.0], num_paths, 5,
+                         "splitting", ref_steps=ref_steps,
+                         **({"sup_dist": _sup_dist} if factor is None
+                            else {"sup_err": _sup_err}))
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    block_bytes = 8 * block_words
+    sums_bytes = 0 if factor is None else block_bytes // factor
+    peak = traced_sweep(False)
+    assert len(live) // 2 >= 4 and maps == []
     assert alive_at_sampling and max(alive_at_sampling) == 0
     # The fine block, the levels' block sums (a separate array only with a
     # refined reference) and half a block of slack.
-    block_bytes = 8 * block_words
-    sums_bytes = 0 if factor is None else block_bytes // factor
     assert peak <= block_bytes + sums_bytes + block_bytes // 2
+    peak = traced_sweep(True)
+    assert len(live) // 2 >= 8
+    assert alive_at_sampling == [0]  # the argument check, on no paths
+    assert maps == [(-1, block_bytes + sums_bytes)]
+    assert peak < block_bytes
+
+
+def forked_pids(monkeypatch):
+    """The pids ``os.fork`` returns to this process from now on."""
+    pids, fork = [], os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
+
+
+def assert_reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 5])
+@pytest.mark.parametrize("num_paths", [_TILE - 1, _TILE + 1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("factor", [1, 2, 4])
+def test_ring_blocks_match_whole_path_sampling(monkeypatch, deadline, factor,
+                                               d, num_paths, blocks):
+    # 32 coarse steps in half-budget slots of 11 and 7 steps give 3 and 5
+    # blocks (11 + 11 + 10, 7 + 7 + 7 + 7 + 4), so the last block is in
+    # either slot. Any ring has 3 blocks or more, unless a coarse step
+    # alone is over half the budget: 2 steps where one fills the budget are
+    # 2 blocks. Each block is copied before the next is requested.
+    log2_steps, budget = {2: (1, 1), 3: (5, 22), 5: (5, 14)}[blocks]
+    grid = TimeGrid.from_log2(1.0, log2_steps)
+    finest = TimeGrid(1.0, factor * grid.steps)
+    monkeypatch.setattr(rates, "_BLOCK_WORDS",
+                        budget * num_paths * d * factor)
+    monkeypatch.setattr(brownian, "_TILE_WORDS", _TILE * 3 * factor * d)
+    spare_cpu(monkeypatch, True)
+    pids = forked_pids(monkeypatch)
+    got = copied_blocks(rates._increment_blocks(grid, finest.steps, 17,
+                                                num_paths, d))
+    assert len(got) == blocks and len(pids) == 1
+    assert_reaped(pids[0])
+    whole = sample_increments(finest, 17, range(num_paths), d)
+    fine = np.concatenate([inc_f for _, inc_f in got])
+    coarse = np.concatenate([inc for inc, _ in got])
+    assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
+    assert coarse.tobytes() == (
+        halve_increments(whole, factor).transpose(1, 0, 2).tobytes())
+
+
+def test_ring_keeps_a_block_until_the_next_is_requested(monkeypatch,
+                                                        deadline):
+    # A slow consumer: the sampler has long filled the next block when each
+    # block is read, and must have put it in the other slot.
+    grid = TimeGrid.from_log2(1.0, 4)
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", 2 * 6 * 3)
+    spare_cpu(monkeypatch, True)
+    got = []
+    for inc, _ in rates._increment_blocks(grid, None, 17, 3, 1):
+        time.sleep(0.2)
+        got.append(inc.copy())
+    assert len(got) == 3
+    whole = sample_increments(grid, 17, range(3), 1)
+    assert np.concatenate(got).tobytes() == whole.transpose(1, 0, 2).tobytes()
+
+
+def late_blowup(dim=1):
+    """Unit diffusion; the drift turns infinite from time 1/2 on."""
+    return CoefficientField(
+        name="late-blowup", dim=dim, diffusion=lambda t, x: ((1.0,),),
+        drift=lambda t, x: (np.inf if t >= 0.5 else 0.0,))
+
+
+def test_no_sampler_outlives_a_sweep(monkeypatch, deadline):
+    # 32 steps of 3 paths in blocks of 4: the sampler process is reaped
+    # after a whole sweep, after an IntegrationError in block 4, and after
+    # a consumer that closes the step loop in block 2.
+    grid = TimeGrid.from_log2(1.0, 5)
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", 2 * 4 * 3)
+    spare_cpu(monkeypatch, True)
+    pids = forked_pids(monkeypatch)
+    args = (HalfLine(0.0), make_coefficients("ou1d"), np.array([0.0]), grid,
+            [16.0, 256.0], 3, 5, "splitting")
+    res = _sweep_paths(*args, None, sup_dist=_sup_dist)
+    assert np.all(res.sup_dist >= 0.0)
+    assert len(pids) == 1
+    assert_reaped(pids[0])
+
+    with np.errstate(invalid="ignore"), pytest.raises(IntegrationError) as err:
+        _sweep_paths(HalfLine(0.0), late_blowup(), *args[2:], None,
+                     sup_dist=_sup_dist)
+    assert err.value.step_index == 17
+    assert len(pids) == 2
+    assert_reaped(pids[1])
+
+    run = rates._lockstep(*args[:6], "splitting", None,
+                          rates._increment_blocks(grid, None, 5, 3, 1))
+    for _ in range(10):
+        next(run)
+    assert len(pids) == 3
+    run.close()
+    assert_reaped(pids[2])
+
+
+def test_a_failing_sampler_surfaces_in_the_parent(monkeypatch, deadline):
+    # The sampler process raises on block 2 (steps 8 to 11): the sweep
+    # raises with its message here, and the process is reaped.
+    grid = TimeGrid.from_log2(1.0, 5)
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", 2 * 4 * 3)
+    spare_cpu(monkeypatch, True)
+    pids = forked_pids(monkeypatch)
+
+    def failing(*args, step_lo=0, **kwargs):
+        if step_lo == 8:
+            raise MemoryError("no room for block 2")
+        return sample_increments(*args, step_lo=step_lo, **kwargs)
+
+    monkeypatch.setattr(rates, "sample_increments", failing)
+    with pytest.raises(RuntimeError, match="^the increment sampler failed "
+                       "before block 2: MemoryError: no room for block 2$"):
+        boundary_distance_sweep(HalfLine(0.0), make_coefficients("ou1d"),
+                                np.array([0.0]), grid, [16.0], 3, 5)
+    assert len(pids) == 1
+    assert_reaped(pids[0])
+
+
+def test_the_ring_checks_the_sampler_arguments_before_it_forks(monkeypatch):
+    # A master seed past 64 bits fails in this process, with the sampler's
+    # own error, and nothing is forked.
+    grid = TimeGrid.from_log2(1.0, 5)
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", 2 * 4 * 3)
+    spare_cpu(monkeypatch, True)
+    pids = forked_pids(monkeypatch)
+    with pytest.raises(ValueError, match="^master_seed must fit in an "
+                       "unsigned 64-bit integer$"):
+        boundary_distance_sweep(HalfLine(0.0), make_coefficients("ou1d"),
+                                np.array([0.0]), grid, [16.0], 3, 2 ** 64)
+    assert pids == []
 
 
 def test_sweep_rows_independent_of_batch_quadrant():
