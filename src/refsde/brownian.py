@@ -7,7 +7,7 @@ inverse CDF. The value at any slot is therefore a pure function of the key
 and counter: paths are generable independently, in parallel, and in any
 order, and the same ``(master_seed, path_index, grid)`` always reproduces
 the same increments bitwise; ``sample_increments`` states how one call
-re-keys its generator per path and overlaps the inverse CDF on a thread.
+re-keys its generator per path and works through its paths in tiles.
 
 ``halve_increments`` forms block sums over a fixed dyadic tree (repeated
 pairwise halving), so halving by 2 twice equals halving by 4 bitwise.
@@ -22,8 +22,8 @@ __all__ = ["TimeGrid", "BrownianPath", "sample_path", "sample_increments"]
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
-# Words per tile of the ``sample_increments`` pipeline (128 KiB of uniforms,
-# rounded down to whole paths, at least one); no bit depends on it.
+# Words per tile of ``sample_increments`` (128 KiB of uniforms, rounded down
+# to whole paths, at least one); no bit depends on it.
 _TILE_WORDS = 2 ** 14
 
 
@@ -88,10 +88,10 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
     is a pure function of the arguments: one Philox generator is re-keyed
     to ``(master_seed, p)`` for each path, with its counter at the range's
     first 4-word block and an empty buffer, so no state passes between
-    paths or calls. A tile is as many whole paths as fit in ``_TILE_WORDS``
-    words, and at least one; past one tile, one helper thread runs the
-    inverse CDF of a tile while this thread draws the next, and is joined
-    before the return. The result is ``out`` (any layout) or a C array.
+    paths or calls. The paths are drawn, mapped through the inverse CDF and
+    stored one tile at a time, in one tile's buffers, a tile being as many
+    whole paths as fit in ``_TILE_WORDS`` words, and at least one. The
+    result is ``out`` (any layout) or a C array.
     """
     master_seed = int(master_seed)
     if not 0 <= master_seed <= _MASK64:
@@ -121,38 +121,24 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
              "has_uint32": 0, "uinteger": 0}
     gen = np.random.Philox(0)  # a fixed seed: the state below replaces it
 
-    def uniforms(paths):
-        raw = np.empty((len(paths), count), dtype=_U64)
+    tile = max(1, _TILE_WORDS // max(1, count))
+    raw = np.empty((min(tile, len(idx)), count), dtype=_U64)
+    z = np.empty(raw.shape)
+    for p0 in range(0, len(idx), tile):
+        paths = idx[p0:p0 + tile]
+        r, u = raw[:len(paths)], z[:len(paths)]
         for row, p in enumerate(paths):
             key[1] = p
             gen.state = state
-            raw[row] = gen.random_raw(offset + count)[offset:]
+            r[row] = gen.random_raw(offset + count)[offset:]
         # 53-bit mantissa uniform in (0, 1), for the inverse normal CDF.
-        raw >>= _U64(11)
-        z = raw.astype(np.float64)
-        z += 0.5
-        z *= 2.0 ** -53
-        return z
-
-    def store(p0, z):
-        z *= np.sqrt(grid.step)
-        out[p0:p0 + len(z)] = z.reshape(len(z), n_steps, dim)
-
-    tile = max(1, _TILE_WORDS // max(1, count))
-    if len(idx) <= tile:
-        z = uniforms(idx)
-        store(0, ndtri(z, out=z))
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = None
-        for p0 in range(0, len(idx), tile):
-            z = uniforms(idx[p0:p0 + tile])
-            job = p0, helper.submit(ndtri, z, out=z)
-            if pending:
-                store(pending[0], pending[1].result())
-            pending = job
-        store(pending[0], pending[1].result())
+        r >>= _U64(11)
+        u[...] = r
+        u += 0.5
+        u *= 2.0 ** -53
+        ndtri(u, out=u)
+        u *= np.sqrt(grid.step)
+        out[p0:p0 + len(paths)] = u.reshape(len(paths), n_steps, dim)
     return out
 
 

@@ -6,7 +6,8 @@ projected-Euler reference where one is needed, along shared Brownian paths
 per-path integrators of ``penalized`` and ``reflected`` run too. Every
 operation acts row by row, so a path's result does not depend on which
 other paths or levels share the batch (a one-path run gives the bytes of
-its row in a sweep), and outputs are bitwise reproducible for a given
+its row in a sweep, and a sweep may split its paths between two
+processes), and outputs are bitwise reproducible for a given
 configuration. A sweep returns per-path data, a ``SweepResult``, which its
 caller reduces with ``error_tables`` or ``weak_rows``.
 
@@ -18,6 +19,8 @@ regressor, because the two are empirically hard to distinguish at desk scale.
 import itertools
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Optional
 
@@ -300,6 +303,8 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.dim,):
         raise ValueError(f"x0 must have shape ({domain.dim},)")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
     if not domain.contains(x0, tol.MEMBERSHIP_TOL):
         raise ValueError("x0 must lie in the domain closure")
     if coeffs.dim != domain.dim:
@@ -367,78 +372,56 @@ def _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme, ref_steps,
                 _guard(x, k + 1, levels)
             k += 1
             yield x, dk, x_ref, dy
-        # Dropped before the next block is requested: in process one block
-        # is in flight, and the ring refills the slot.
+        # Dropped before the next block is requested: one block is in flight.
         del inc, inc_ref
 
 
-def _increment_blocks(grid, ref_steps, master_seed, num_paths, d):
+def _increment_blocks(grid, ref_steps, master_seed, paths, d, words):
     """Sampled increment pairs for ``_lockstep``: fine increments for the
-    reference and their ``factor``-step sums for the levels, time-major
-    ``(steps, P, d)`` blocks in ``(steps, d, P)`` memory, so that every step
-    reads a contiguous ``(P, d)`` slab, one plane per coordinate. The
-    ``m`` coarse steps go into the fewest blocks that fit in
-    ``_BLOCK_WORDS`` fine words (a block holds at least one coarse step),
-    all of one length but a shorter last one: 4,096 steps where 2,621 fit
-    give 2,048 + 2,048, not 2,621 + 1,475. The sums match a whole-path
-    generation bitwise. ``_lockstep`` drops a block before the next is
-    sampled, so the increments take one block of at most
-    ``max(_BLOCK_WORDS, P * d * factor)`` fine words (8 MiB unless a coarse
-    step alone is larger), its sums, two of the sampler's tiles and, while
-    the sums are formed, at factor 4 or more one halving of half a block,
-    however many steps there are.
-
-    Increments of more than one block, where ``_spare_cpu()``, come from
-    ``_ring.ring_blocks`` instead, in blocks planned against half the
-    budget: a forked sampler process fills the next block while the step
-    loop runs. A yielded pair is then valid only until the next is
-    requested, as the states ``_lockstep`` yields are."""
+    reference and their ``factor``-step sums for the levels, of the paths
+    ``paths`` (a range), time-major ``(steps, P, d)`` blocks in
+    ``(steps, d, P)`` memory, so that every step reads a contiguous
+    ``(P, d)`` slab, one plane per coordinate. The ``m`` coarse steps go
+    into the fewest blocks that fit in ``words`` fine words (a block holds
+    at least one coarse step), all of one length but a shorter last one:
+    4,096 steps where 2,621 fit give 2,048 + 2,048, not 2,621 + 1,475. The
+    sums match a whole-path generation bitwise. ``_lockstep`` drops a block
+    before the next is sampled, so the increments take one block of at
+    most ``max(words, P * d * factor)`` fine words (8 MiB at
+    ``_BLOCK_WORDS`` unless a coarse step alone is larger), its sums, a
+    sampler tile and, while the sums are formed, at factor 4 or more one
+    halving of half a block, however many steps there are."""
     m = grid.steps
     finest = TimeGrid(grid.horizon, ref_steps or m)
     factor = finest.steps // m
-    most = max(1, _BLOCK_WORDS // max(1, num_paths * d * factor))
-    ring = m > most and _spare_cpu()
-    if ring:  # two slots of half the budget
-        most = max(1, most // 2)
+    most = max(1, words // max(1, len(paths) * d * factor))
     blocks = -(-m // most)  # ceil(m / most): the fewest that fit
     block = -(-m // blocks)  # at most ``most``, and gives ``blocks`` blocks
-    spans = [(b0, min(b0 + block, m)) for b0 in range(0, m, block)]
-    args = finest, master_seed, num_paths, d, factor
-    if not ring:
-        # Each block is yielded straight from the call, so the suspended
-        # generator holds no reference to it.
-        yield from (_sample_block(*args, b0, b1) for b0, b1 in spans)
-        return
-    from ._ring import ring_blocks  # loaded only where a sweep forks
-    # The sampler's argument checks, on no paths, in this process: its
-    # errors keep their type.
-    sample_increments(finest, master_seed, (), d)
-    yield from ring_blocks(
-        lambda b0, b1, fine: _sample_block(*args, b0, b1, fine),
-        spans, block, num_paths, d, factor)
+    # Each block is yielded straight from the call, so the suspended
+    # generator holds no reference to it.
+    yield from (_sample_block(finest, master_seed, paths, d, factor, b0,
+                              min(b0 + block, m)) for b0 in range(0, m, block))
 
 
 def _spare_cpu():
-    """True where a forked sampler process can run beside this one: the
-    host has ``os.fork``, and this process may run on more than one CPU."""
+    """True where a forked worker can sweep beside this process: the host
+    has ``os.fork``, and this process may run on more than one CPU."""
     cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
             else range(os.cpu_count() or 1))
     return hasattr(os, "fork") and len(cpus) > 1
 
 
-def _sample_block(finest, master_seed, num_paths, d, factor, b0, b1,
-                  fine=None):
+def _sample_block(finest, master_seed, paths, d, factor, b0, b1):
     """The pair of ``_increment_blocks`` for coarse steps ``b0:b1``, from
-    one ``sample_increments`` call into ``fine`` (a block in that layout) or
-    a new block, which fills it in tiles of whole paths of at most
-    ``brownian._TILE_WORDS`` words where a path fits; the sums keep the
-    block's memory order, and at factor 1 they are the fine block itself."""
-    if fine is None:
-        fine = np.empty(((b1 - b0) * factor, d, num_paths)).transpose(0, 2, 1)
-    paths = fine.transpose(1, 0, 2)  # the sampler's (P, steps, d) axes
-    sample_increments(finest, master_seed, range(num_paths), d,
-                      step_lo=b0 * factor, step_hi=b1 * factor, out=paths)
-    return halve_increments(paths, factor).transpose(1, 0, 2), fine
+    one ``sample_increments`` call into a new block, which fills it in tiles
+    of whole paths of at most ``brownian._TILE_WORDS`` words where a path
+    fits; the sums keep the block's memory order, and at factor 1 they are
+    the fine block itself."""
+    fine = np.empty(((b1 - b0) * factor, d, len(paths))).transpose(0, 2, 1)
+    by_path = fine.transpose(1, 0, 2)  # the sampler's (P, steps, d) axes
+    sample_increments(finest, master_seed, paths, d, step_lo=b0 * factor,
+                      step_hi=b1 * factor, out=by_path)
+    return halve_increments(by_path, factor).transpose(1, 0, 2), fine
 
 
 def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
@@ -448,24 +431,114 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     the keywords hold their ``folds``' results. A fold ``fold(domain, first)
     -> (step, result)`` is built once from ``_lockstep``'s first yield, after
     the input checks; ``step`` receives every yield unchanged, from time 0
-    on, and ``result()`` runs once, at the end."""
-    blocks = _increment_blocks(grid, ref_steps, master_seed, num_paths,
-                               domain.dim)
-    try:
-        run = _lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme,
-                        ref_steps, blocks)
+    on, and ``result()`` runs once, at the end.
+
+    Where ``_spare_cpu()`` and there are two paths or more, the input and
+    sampler checks run in this process first, so their errors keep their
+    type, and then ``_split`` sweeps the paths in two halves, each in blocks
+    planned against half of ``_BLOCK_WORDS``, so the two processes together
+    hold one budget. The halves' fields are joined along the path axis.
+    Rows are independent and Philox is keyed per path, so the bits are
+    those of the one-process sweep, which one-CPU processes, hosts without
+    ``os.fork`` and one-path sweeps run.
+    """
+    def sweep(paths, words):
+        run = _lockstep(domain, coeffs, x0, grid, levels, len(paths), scheme,
+                        ref_steps, _increment_blocks(
+                            grid, ref_steps, master_seed, paths, domain.dim,
+                            words))
         first = next(run)  # the input checks, before anything is allocated
         running = {name: fold(domain, first) for name, fold in folds.items()}
         for y in itertools.chain([first], run):
             for step, _ in running.values():
                 step(y)
+        x, _, x_ref, _ = first  # overwritten in place: the final states
+        return dict(
+            terminal=x.copy(order="C"),
+            ref_terminal=None if x_ref is None else x_ref.copy(order="C"),
+            **{name: result() for name, (_, result) in running.items()})
+
+    if num_paths < 2 or not _spare_cpu():
+        fields = sweep(range(num_paths), _BLOCK_WORDS)
+    else:
+        next(_lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme,
+                       ref_steps, ()))
+        sample_increments(grid, master_seed, (), domain.dim)
+        lower, upper = _split(lambda paths: sweep(paths, _BLOCK_WORDS // 2),
+                              num_paths,
+                              int(ref_steps or grid.steps) // grid.steps)
+        fields = {name: None if a is None else np.concatenate(
+            (a, upper[name]), axis=0 if name == "ref_terminal" else 1)
+            for name, a in lower.items()}
+    return SweepResult(levels=tuple(levels), **fields)
+
+
+def _split(sweep, num_paths, factor):
+    """Run ``sweep(range(cut))`` in this process and ``sweep(range(cut,
+    num_paths))`` in a forked worker, where ``cut = ceil(num_paths / 2)``,
+    and return both results. The worker sends its result back pickled over a
+    pipe and leaves only by ``os._exit``; the ``finally`` kills and reaps
+    it, also when this half raises. Errors are those of one process: an
+    ``IntegrationError`` of either half, with a global path index, waits
+    for the other half, and the earlier of two in the step loop's order
+    (``_loop_order``, with the reference's ``factor``) is raised. Any other
+    error of the worker's is raised as a ``RuntimeError`` that names it."""
+    cut = -(-num_paths // 2)
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the worker: it sweeps its half and never splits again
+        code = 1
+        try:
+            os.close(r)
+            try:
+                out = sweep(range(cut, num_paths))
+            except IntegrationError as exc:
+                out = _nonfinite(exc.step_index, exc.path_index + cut,
+                                 exc.level)
+            except Exception as exc:
+                out = RuntimeError(f"the sweep's worker failed: "
+                                   f"{type(exc).__name__}: {exc}")
+            with open(w, "wb") as pipe:
+                pickle.dump(out, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            try:
+                lower = sweep(range(cut))
+            except IntegrationError as exc:
+                lower = exc
+            data = pipe.read()
     finally:
-        blocks.close()  # no sampler process outlives the sweep
-    x, _, x_ref, _ = first  # overwritten in place: the final states
-    return SweepResult(
-        levels=tuple(levels), terminal=x.copy(order="C"),
-        ref_terminal=None if x_ref is None else x_ref.copy(order="C"),
-        **{name: result() for name, (_, result) in running.items()})
+        os.kill(pid, signal.SIGKILL)  # a no-op on an exited worker
+        os.waitpid(pid, 0)
+    upper = (pickle.loads(data) if data else
+             RuntimeError("the sweep's worker exited without a result"))
+    failed = [half for half in (lower, upper)
+              if isinstance(half, BaseException)]
+    if failed:
+        raise min(failed, key=lambda exc: _loop_order(exc, factor))
+    return lower, upper
+
+
+def _loop_order(exc, factor):
+    """Where the step loop meets ``exc``: an error that is not an
+    ``IntegrationError`` first, then by grid step, within it the reference
+    (``factor`` fine steps per grid step) before the levels, then by level,
+    then by path."""
+    if not isinstance(exc, IntegrationError):
+        return (0,)
+    step = exc.step_index
+    if exc.level is None:
+        return (1, -(-step // factor), 0, step, exc.path_index)
+    return (1, step, 1, exc.level, exc.path_index)
 
 
 def _sup_fold(first, gap):
@@ -535,14 +608,19 @@ def _guard(x, step, levels=None):
     # level-by-level loop would have hit first.
     row = int(np.argmin(np.isfinite(x).all(axis=-1)))
     if levels is None:
-        raise IntegrationError(
-            f"non-finite reference state at step {step}, path {row}",
-            step_index=step, path_index=row)
+        raise _nonfinite(step, row)
     li, pi = divmod(row, x.shape[-2])
-    n = levels[li]
-    raise IntegrationError(
-        f"non-finite state at step {step}, level n = {n:g}, path {pi}",
-        step_index=step, path_index=pi, level=n)
+    raise _nonfinite(step, pi, levels[li])
+
+
+def _nonfinite(step, path, level=None):
+    """The ``IntegrationError`` of a non-finite state of ``path`` after
+    ``step``: the reference's, or with ``level`` that level's."""
+    what = "reference state" if level is None else "state"
+    at = "" if level is None else f", level n = {level:g}"
+    return IntegrationError(
+        f"non-finite {what} at step {step}{at}, path {path}",
+        step_index=step, path_index=path, level=level)
 
 
 def _pooled_norm(sups, p):

@@ -134,7 +134,7 @@ def test_sampler_bytes_do_not_depend_on_the_tile(monkeypatch, tile):
 
 @pytest.mark.parametrize("steps,dim,num_paths", [
     (1024, 2, 40),   # 8 paths of 2,046 words per tile
-    (1024, 3, 5),    # one tile of 5 paths, no helper thread
+    (1024, 3, 5),    # one tile of 5 paths
     (8192, 3, 3),    # a path of 24,573 words is its own tile
 ])
 def test_sampler_tiles_stay_within_their_word_budget(monkeypatch, steps, dim,
@@ -158,9 +158,9 @@ def test_sampler_tiles_stay_within_their_word_budget(monkeypatch, steps, dim,
 
 
 def test_concurrent_pipelined_calls_keep_their_bits(monkeypatch):
-    # Four callers, each with its own helper, on two cores, one path per
-    # tile and a short switch interval: every hand-off of a tile between a
-    # caller and its helper happens often and interleaved with the others.
+    # Four callers on two cores, one path per tile and a short switch
+    # interval: the calls' tiles interleave often, and no generator state
+    # or tile buffer passes between them.
     g = TimeGrid(1.0, 64)
     paths = list(range(9))
     want = {seed: fresh_philox_increments(g, seed, paths, 2, 1, 40).tobytes()
@@ -188,12 +188,21 @@ def test_concurrent_pipelined_calls_keep_their_bits(monkeypatch):
     assert got == {seed: {b} for seed, b in want.items()}
 
 
-def test_sampler_joins_its_helper_thread():
-    # Three tiles, so the call runs its helper; none is left once it returns.
+def test_sampler_starts_no_thread(monkeypatch):
+    # Three tiles, drawn and mapped one after the other in the calling
+    # thread: no other thread runs the inverse CDF.
     tile = brownian._TILE_WORDS // (256 * 2)
+    callers = []
+
+    def recorded_ndtri(z, out):
+        callers.append(threading.get_ident())
+        return ndtri(z, out=out)
+
+    monkeypatch.setattr(brownian, "ndtri", recorded_ndtri)
     before = threading.active_count()
     sample_increments(TimeGrid(1.0, 256), 3, range(2 * tile + 1), 2)
     assert threading.active_count() == before
+    assert callers == [threading.get_ident()] * 3
 
 
 def test_pooled_moments_within_clt_bands():

@@ -172,7 +172,8 @@ def identity_field(dim):
 def test_lockstep_states_stay_coordinate_major(dom, coeffs):
     grid = TimeGrid.from_log2(1.0, 5)
     x0 = dom.interior_point()
-    blocks = rates._increment_blocks(grid, 2 * grid.steps, 3, 50, dom.dim)
+    blocks = rates._increment_blocks(grid, 2 * grid.steps, 3, range(50),
+                                     dom.dim, rates._BLOCK_WORDS)
     run = rates._lockstep(dom, coeffs, x0, grid, [16, 64, 256], 50,
                           "splitting", 2 * grid.steps, blocks)
     first = None

@@ -1,7 +1,6 @@
-import mmap
 import os
+import re
 import signal
-import time
 import tracemalloc
 import warnings
 import weakref
@@ -478,7 +477,8 @@ def test_lockstep_computes_increments_only_when_asked():
 
     def run(increments):
         # Snapshots: the next step overwrites the states the loop yields.
-        blocks = rates._increment_blocks(grid, 4 * grid.steps, 11, 3, 1)
+        blocks = rates._increment_blocks(grid, 4 * grid.steps, 11, range(3),
+                                         1, rates._BLOCK_WORDS)
         return [(x.copy(), dk, x_ref.copy(), dy) for x, dk, x_ref, dy in
                 rates._lockstep(*args, blocks, increments=increments)]
 
@@ -493,10 +493,10 @@ def test_lockstep_computes_increments_only_when_asked():
 
 @pytest.fixture
 def deadline():
-    """Fail a ring test that stalls instead of hanging: a sampler that never
-    gets a slot back waits for it forever, and so does the consumer."""
+    """Fail a split test that stalls instead of hanging: this process waits
+    for the worker's result until the worker exits."""
     def stalled(signum, frame):
-        raise TimeoutError("the increment ring stalled")
+        raise TimeoutError("the split sweep stalled")
     previous = signal.signal(signal.SIGALRM, stalled)
     signal.setitimer(signal.ITIMER_REAL, 20.0)
     try:
@@ -507,9 +507,9 @@ def deadline():
 
 
 def spare_cpu(monkeypatch, spare):
-    """Take the ring (``spare``) or the in-process path on any host."""
+    """Split the sweeps (``spare``) or run them in one process, on any host."""
     if spare and not hasattr(os, "fork"):
-        pytest.skip("the ring needs os.fork")
+        pytest.skip("the split needs os.fork")
     monkeypatch.setattr(rates, "_spare_cpu", lambda: spare)
 
 
@@ -519,8 +519,9 @@ def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, deadline,
     # d = 2 with a 4x refined reference, so the levels step on block sums
     # that differ from the reference's fine increments. With 5 paths the
     # budget of 120 words gives blocks of 3 steps and a partial last block
-    # of 2 of the 32 steps in process, and blocks of 1 step in the ring; a
-    # budget of 1 word gives one step per block on both paths.
+    # of 2 of the 32 steps in one process; split, half the budget gives
+    # the 3 lower paths blocks of 2 steps and the 2 upper ones blocks of 3
+    # and a last one of 2. A budget of 1 word gives one step per block.
     domain = Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]],
                         offsets=[0.0, 0.0])
     coeffs = make_coefficients("quadrant2d")
@@ -529,6 +530,7 @@ def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, deadline,
     args = (domain, coeffs, x0, grid, [16.0, 256.0], 5, 13, "splitting")
     kw = dict(ref_steps=4 * grid.steps, sup_err=_sup_err, sup_dist=_sup_dist)
     assert rates._BLOCK_WORDS >= 5 * 2 * 4 * grid.steps
+    spare_cpu(monkeypatch, False)
     whole = _sweep_paths(*args, **kw)
     monkeypatch.setattr(rates, "_BLOCK_WORDS", block_words)
     for spare in (False, True):
@@ -539,96 +541,88 @@ def test_sweep_block_boundaries_do_not_change_bits(monkeypatch, deadline,
             assert b.shape == w.shape and b.tobytes() == w.tobytes()
 
 
-# Paths per sampler tile in a whole block of the test below.
+# Paths per sampler tile in the tests below.
 _TILE = 32
 
 
-def copied_blocks(blocks, check=None):
-    """The pairs of ``blocks``, each copied before the next is requested
-    (the ring reuses its slots), after ``check(inc, inc_f)`` on the pair."""
-    out = []
-    for inc, inc_f in blocks:
-        if check:
-            check(inc, inc_f)
-        out.append((inc.copy(), inc_f.copy()))
+def checked_blocks(blocks, num_paths, d, factor):
+    """The pairs of ``blocks``, each checked for its layout and shapes."""
+    out = list(blocks)
+    for inc, inc_f in out:
+        # (steps, P, d) views of (steps, d, P) memory: each step's
+        # increments are one contiguous plane per coordinate.
+        assert np.moveaxis(inc, -1, 1).flags.c_contiguous
+        assert np.moveaxis(inc_f, -1, 1).flags.c_contiguous
+        assert inc_f.shape == (factor * inc.shape[0], num_paths, d)
     return out
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("num_paths", [1, _TILE - 1, _TILE + 1, 2 * _TILE + 3])
 @pytest.mark.parametrize("factor", [1, 2, 4])
-def test_increment_blocks_match_whole_path_sampling(monkeypatch, deadline,
-                                                    factor, num_paths, d):
-    # A budget of 6 coarse steps, so blocks of 3 of the 16 coarse steps in
-    # the ring's half-budget slots and of 6 in process, the last one
-    # partial, sampled in tiles of _TILE paths, so the path counts lie on
-    # both sides of one tile. The ring's block at step 3 starts at fine word
-    # 3 * factor * d, which is not a multiple of 4 for factors 1 and 2 and
-    # odd d (and for factor 1, d = 2).
+def test_increment_blocks_match_whole_path_sampling(monkeypatch, factor,
+                                                    num_paths, d):
+    # Blocks of 6 of the 16 coarse steps for all the paths, and of 3 for
+    # the upper paths alone with half that budget per path, as a split
+    # sweep's worker plans them; the last block partial. Sampled in tiles
+    # of _TILE paths of 3 steps, so the path counts lie on both sides of
+    # one tile. The block at step 3 starts at fine word 3 * factor * d,
+    # which is not a multiple of 4 for factors 1 and 2 and odd d (and for
+    # factor 1, d = 2), and the upper paths start past path 0.
     grid = TimeGrid.from_log2(1.0, 4)
     finest = TimeGrid(1.0, factor * grid.steps)
-    monkeypatch.setattr(rates, "_BLOCK_WORDS", 6 * num_paths * d * factor)
     monkeypatch.setattr(brownian, "_TILE_WORDS", _TILE * 3 * factor * d)
     whole = sample_increments(finest, 17, range(num_paths), d)
-
-    def check(inc, inc_f):
-        # (steps, P, d) views of (steps, d, P) memory: each step's
-        # increments are one contiguous plane per coordinate.
-        assert np.moveaxis(inc, -1, 1).flags.c_contiguous
-        assert np.moveaxis(inc_f, -1, 1).flags.c_contiguous
-        assert inc_f.shape == (factor * inc.shape[0], num_paths, d)
-
-    for spare, lengths in ((True, [3] * 5 + [1]), (False, [6, 6, 4])):
-        spare_cpu(monkeypatch, spare)
-        blocks = copied_blocks(rates._increment_blocks(
-            grid, finest.steps, 17, num_paths, d), check)
+    upper = range(num_paths // 2, num_paths)
+    for paths, steps, lengths in ((range(num_paths), 6, [6, 6, 4]),
+                                  (upper, 3, [3] * 5 + [1])):
+        blocks = checked_blocks(rates._increment_blocks(
+            grid, finest.steps, 17, paths, d,
+            steps * len(paths) * d * factor), len(paths), d, factor)
         assert [inc.shape for inc, _ in blocks] == [
-            (s, num_paths, d) for s in lengths]
+            (s, len(paths), d) for s in lengths]
+        want = whole[paths.start:]
         fine = np.concatenate([inc_f for _, inc_f in blocks])
         coarse = np.concatenate([inc for inc, _ in blocks])
-        assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
+        assert fine.tobytes() == want.transpose(1, 0, 2).tobytes()
         assert coarse.tobytes() == (
-            halve_increments(whole, factor).transpose(1, 0, 2).tobytes())
+            halve_increments(want, factor).transpose(1, 0, 2).tobytes())
 
 
 @pytest.mark.parametrize("most,lengths", [
     (10, [8, 8]), (7, [6, 6, 4]), (5, [4, 4, 4, 4])], ids=["10", "7", "5"])
-def test_increment_blocks_are_balanced(monkeypatch, deadline, most, lengths):
+def test_increment_blocks_are_balanced(most, lengths):
     # 16 coarse steps where ``most`` fit: the fewest blocks, of one length
     # but a shorter last one (greedy blocks of ``most`` steps leave a short
-    # tail: 10 + 6, 7 + 7 + 2, 5 + 5 + 5 + 1), with the whole-path bytes.
-    # The ring plans against half the budget, so a budget of ``2 * most``
-    # steps gives it the same blocks, where that is less than the 16 steps
-    # (a sweep that fits in one budget stays in process).
+    # tail: 10 + 6, 7 + 7 + 2, 5 + 5 + 5 + 1), with the whole-path bytes,
+    # for all the paths and for the upper ones alone.
     grid = TimeGrid.from_log2(1.0, 4)
     num_paths, d, factor = 3, 2, 2
     whole = sample_increments(TimeGrid(1.0, factor * grid.steps), 17,
                               range(num_paths), d)
-    for spare in (False, True)[:1 + (2 * most < grid.steps)]:
-        spare_cpu(monkeypatch, spare)
-        monkeypatch.setattr(rates, "_BLOCK_WORDS",
-                            (1 + spare) * most * num_paths * d * factor)
-        blocks = copied_blocks(rates._increment_blocks(
-            grid, factor * grid.steps, 17, num_paths, d))
+    for paths in (range(num_paths), range(2, num_paths)):
+        blocks = list(rates._increment_blocks(
+            grid, factor * grid.steps, 17, paths, d,
+            most * len(paths) * d * factor))
         assert [inc.shape[0] for inc, _ in blocks] == lengths
         fine = np.concatenate([inc_f for _, inc_f in blocks])
-        assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
+        assert fine.tobytes() == (
+            whole[paths.start:].transpose(1, 0, 2).tobytes())
 
 
 @pytest.mark.parametrize("factor", [None, 2])
 def test_one_increment_block_in_flight(monkeypatch, deadline, factor):
     # 512 paths on 2^10 steps, in blocks of 2^17 fine words (1 MiB): at
-    # least 4 blocks. In process, each block must be garbage by the time
-    # the first tile of the next one is sampled, so the sweep's allocations
-    # peak at one block pair plus a tile's sampling, well below two blocks.
-    # In the ring, the blocks live in one mmap of two half-budget slots (and
-    # their sums), which this process maps once, and the sampler process
-    # samples them all; what this process allocates stays below one budget.
+    # least 4 blocks. Each block must be garbage by the time the first tile
+    # of the next one is sampled, so the sweep's allocations peak at one
+    # block pair plus a tile's sampling, well below two blocks. Split, this
+    # process sweeps the lower 256 paths in blocks of half the budget, and
+    # the worker's allocations are its own.
     grid = TimeGrid.from_log2(1.0, 10)
     num_paths, block_words = 512, 2 ** 17
     monkeypatch.setattr(rates, "_BLOCK_WORDS", block_words)
-    live, alive_at_sampling, maps = [], [], []
-    increment_blocks, mapping = rates._increment_blocks, mmap.mmap
+    live, alive_at_sampling = [], []
+    increment_blocks = rates._increment_blocks
 
     def recorded_blocks(*args):
         for pair in increment_blocks(*args):
@@ -640,18 +634,13 @@ def test_one_increment_block_in_flight(monkeypatch, deadline, factor):
         alive_at_sampling.append(sum(r() is not None for r in live))
         return sample_increments(*args, **kwargs)
 
-    def recorded_mmap(*args):
-        maps.append(args)
-        return mapping(*args)
-
     monkeypatch.setattr(rates, "_increment_blocks", recorded_blocks)
     monkeypatch.setattr(rates, "sample_increments", counted_sampler)
-    monkeypatch.setattr(mmap, "mmap", recorded_mmap)
     ref_steps = None if factor is None else factor * grid.steps
 
     def traced_sweep(spare):
         spare_cpu(monkeypatch, spare)
-        del live[:], alive_at_sampling[:], maps[:]
+        del live[:], alive_at_sampling[:]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -666,17 +655,17 @@ def test_one_increment_block_in_flight(monkeypatch, deadline, factor):
 
     block_bytes = 8 * block_words
     sums_bytes = 0 if factor is None else block_bytes // factor
-    peak = traced_sweep(False)
-    assert len(live) // 2 >= 4 and maps == []
-    assert alive_at_sampling and max(alive_at_sampling) == 0
-    # The fine block, the levels' block sums (a separate array only with a
-    # refined reference) and half a block of slack.
-    assert peak <= block_bytes + sums_bytes + block_bytes // 2
-    peak = traced_sweep(True)
-    assert len(live) // 2 >= 8
-    assert alive_at_sampling == [0]  # the argument check, on no paths
-    assert maps == [(-1, block_bytes + sums_bytes)]
-    assert peak < block_bytes
+    tile_bytes = 16 * brownian._TILE_WORDS  # the sampler's words, uniforms
+    for spare in (False, True):
+        peak = traced_sweep(spare)
+        assert len(live) // 2 >= 4
+        assert alive_at_sampling and max(alive_at_sampling) == 0
+        # The fine block and the levels' block sums (a separate array only
+        # with a refined reference), both half as large where this process
+        # sweeps half the paths, one tile's buffers and an eighth of a block
+        # for the states and the folds.
+        assert peak <= ((block_bytes + sums_bytes) // (1 + spare)
+                        + tile_bytes + block_bytes // 8)
 
 
 def forked_pids(monkeypatch):
@@ -701,26 +690,23 @@ def assert_reaped(pid):
 @pytest.mark.parametrize("num_paths", [_TILE - 1, _TILE + 1])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("factor", [1, 2, 4])
-def test_ring_blocks_match_whole_path_sampling(monkeypatch, deadline, factor,
-                                               d, num_paths, blocks):
-    # 32 coarse steps in half-budget slots of 11 and 7 steps give 3 and 5
-    # blocks (11 + 11 + 10, 7 + 7 + 7 + 7 + 4), so the last block is in
-    # either slot. Any ring has 3 blocks or more, unless a coarse step
-    # alone is over half the budget: 2 steps where one fills the budget are
-    # 2 blocks. Each block is copied before the next is requested.
+def test_ring_blocks_match_whole_path_sampling(monkeypatch, factor, d,
+                                               num_paths, blocks):
+    # Blocks planned against half the budget, as each half of a split sweep
+    # plans them (and the two-slot sampler ring before it), here for the
+    # upper half of the paths, sampled in tiles of _TILE paths. 32 coarse
+    # steps where budgets of 22 and 14 steps give 3 and 5 blocks (11 + 11 +
+    # 10, 7 + 7 + 7 + 7 + 4); 2 steps where one fills the budget are 2.
     log2_steps, budget = {2: (1, 1), 3: (5, 22), 5: (5, 14)}[blocks]
     grid = TimeGrid.from_log2(1.0, log2_steps)
     finest = TimeGrid(1.0, factor * grid.steps)
-    monkeypatch.setattr(rates, "_BLOCK_WORDS",
-                        budget * num_paths * d * factor)
+    upper = range(-(-num_paths // 2), num_paths)
     monkeypatch.setattr(brownian, "_TILE_WORDS", _TILE * 3 * factor * d)
-    spare_cpu(monkeypatch, True)
-    pids = forked_pids(monkeypatch)
-    got = copied_blocks(rates._increment_blocks(grid, finest.steps, 17,
-                                                num_paths, d))
-    assert len(got) == blocks and len(pids) == 1
-    assert_reaped(pids[0])
-    whole = sample_increments(finest, 17, range(num_paths), d)
+    got = checked_blocks(rates._increment_blocks(
+        grid, finest.steps, 17, upper, d,
+        budget * len(upper) * d * factor // 2), len(upper), d, factor)
+    assert len(got) == blocks
+    whole = sample_increments(finest, 17, range(num_paths), d)[upper.start:]
     fine = np.concatenate([inc_f for _, inc_f in got])
     coarse = np.concatenate([inc for inc, _ in got])
     assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
@@ -728,94 +714,211 @@ def test_ring_blocks_match_whole_path_sampling(monkeypatch, deadline, factor,
         halve_increments(whole, factor).transpose(1, 0, 2).tobytes())
 
 
-def test_ring_keeps_a_block_until_the_next_is_requested(monkeypatch,
-                                                        deadline):
-    # A slow consumer: the sampler has long filled the next block when each
-    # block is read, and must have put it in the other slot.
-    grid = TimeGrid.from_log2(1.0, 4)
-    monkeypatch.setattr(rates, "_BLOCK_WORDS", 2 * 6 * 3)
+QUADRANT = Polyhedron(normals=[[-1.0, 0.0], [0.0, -1.0]], offsets=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("num_paths", [2, 3, 7])
+@pytest.mark.parametrize("kind,factor", [
+    ("dist", 1), ("strong", 1), ("strong", 2), ("strong", 4), ("weak", 1),
+    ("weak", 2), ("weak", 4)])
+def test_split_sweeps_match_the_one_process_sweep(monkeypatch, deadline,
+                                                  kind, factor, num_paths):
+    # Every field bytewise, with halves of several blocks: 32 steps where
+    # half the budget holds 16 coarse steps of one path, so 2 to 8 blocks
+    # per half. The distance sweep runs on the half-line, whose sup
+    # distance is folded from running extremes; the others on the
+    # quadrant, d = 2.
+    grid = TimeGrid.from_log2(1.0, 5)
+    if kind == "dist":
+        args = (HalfLine(0.0), make_coefficients("ou1d"), np.array([0.0]))
+        sweep, kw = boundary_distance_sweep, {}
+    else:
+        args = (QUADRANT, make_coefficients("quadrant2d"),
+                np.array([0.0, 0.5]))
+        sweep = {"strong": strong_error_sweep, "weak": weak_compare}[kind]
+        kw = {"reference_steps": factor * grid.steps}
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", 2 * 16 * factor * args[0].dim)
+    args += (grid, [4.0, 64.0, 1024.0], num_paths, 11)
+    pids = forked_pids(monkeypatch)
+    spare_cpu(monkeypatch, False)
+    one = sweep(*args, **kw)
+    assert pids == []
     spare_cpu(monkeypatch, True)
-    got = []
-    for inc, _ in rates._increment_blocks(grid, None, 17, 3, 1):
-        time.sleep(0.2)
-        got.append(inc.copy())
-    assert len(got) == 3
-    whole = sample_increments(grid, 17, range(3), 1)
-    assert np.concatenate(got).tobytes() == whole.transpose(1, 0, 2).tobytes()
+    split = sweep(*args, **kw)
+    assert len(pids) == 1
+    assert_reaped(pids[0])
+    assert split.levels == one.levels
+    present = {"dist": ("terminal", "sup_dist"),
+               "strong": ("terminal", "ref_terminal", "sup_err"),
+               "weak": ("terminal", "ref_terminal")}[kind]
+    for key in ("terminal", "ref_terminal", "sup_dist", "sup_err"):
+        a, b = getattr(split, key), getattr(one, key)
+        assert (a is not None) == (b is not None) == (key in present), key
+        if a is not None:
+            assert a.flags.c_contiguous, key
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
 
 
-def late_blowup(dim=1):
-    """Unit diffusion; the drift turns infinite from time 1/2 on."""
-    return CoefficientField(
-        name="late-blowup", dim=dim, diffusion=lambda t, x: ((1.0,),),
-        drift=lambda t, x: (np.inf if t >= 0.5 else 0.0,))
+def late_blowup(paths):
+    """Unit diffusion; on batches of ``paths`` paths, the drift turns
+    infinite from time 1/2 on."""
+    def drift(t, x):
+        return (np.inf if t >= 0.5 and x.shape[-2] == paths else 0.0,)
+    return CoefficientField(name="late-blowup", dim=1,
+                            diffusion=lambda t, x: ((1.0,),), drift=drift)
 
 
 def test_no_sampler_outlives_a_sweep(monkeypatch, deadline):
-    # 32 steps of 3 paths in blocks of 4: the sampler process is reaped
-    # after a whole sweep, after an IntegrationError in block 4, and after
-    # a consumer that closes the step loop in block 2.
+    # The forked worker, which samples and sweeps the upper half of the
+    # paths, is reaped after a whole sweep and after an IntegrationError in
+    # either half. Three paths split 2 + 1, so a drift that blows up on
+    # batches of 1 or 2 paths fails only the worker's half or only this
+    # process's. The worker's own errors are the next test's.
     grid = TimeGrid.from_log2(1.0, 5)
-    monkeypatch.setattr(rates, "_BLOCK_WORDS", 2 * 4 * 3)
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", 8)
     spare_cpu(monkeypatch, True)
     pids = forked_pids(monkeypatch)
-    args = (HalfLine(0.0), make_coefficients("ou1d"), np.array([0.0]), grid,
-            [16.0, 256.0], 3, 5, "splitting")
-    res = _sweep_paths(*args, None, sup_dist=_sup_dist)
-    assert np.all(res.sup_dist >= 0.0)
+    args = (np.array([0.0]), grid, [16.0, 256.0], 3, 5, "splitting", None)
+    res = _sweep_paths(HalfLine(0.0), make_coefficients("ou1d"), *args,
+                       sup_dist=_sup_dist)
+    assert np.all(res.sup_dist >= 0.0) and res.sup_dist.shape == (2, 3)
     assert len(pids) == 1
     assert_reaped(pids[0])
 
-    with np.errstate(invalid="ignore"), pytest.raises(IntegrationError) as err:
-        _sweep_paths(HalfLine(0.0), late_blowup(), *args[2:], None,
-                     sup_dist=_sup_dist)
-    assert err.value.step_index == 17
-    assert len(pids) == 2
-    assert_reaped(pids[1])
-
-    run = rates._lockstep(*args[:6], "splitting", None,
-                          rates._increment_blocks(grid, None, 5, 3, 1))
-    for _ in range(10):
-        next(run)
-    assert len(pids) == 3
-    run.close()
-    assert_reaped(pids[2])
+    for batch, path in ((2, 0), (1, 2)):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                IntegrationError) as err:
+            _sweep_paths(HalfLine(0.0), late_blowup(batch), *args,
+                         sup_dist=_sup_dist)
+        assert err.value.step_index == 17
+        assert (err.value.level, err.value.path_index) == (16.0, path)
+        assert str(err.value) == (
+            f"non-finite state at step 17, level n = 16, path {path}")
+        assert len(pids) == 2 + (batch == 1)
+        assert_reaped(pids[-1])
 
 
 def test_a_failing_sampler_surfaces_in_the_parent(monkeypatch, deadline):
-    # The sampler process raises on block 2 (steps 8 to 11): the sweep
-    # raises with its message here, and the process is reaped.
+    # The worker's sampler raises on its block 2 (steps 8 to 11 of its one
+    # path): the sweep raises a RuntimeError naming it here, and the worker
+    # is reaped.
     grid = TimeGrid.from_log2(1.0, 5)
-    monkeypatch.setattr(rates, "_BLOCK_WORDS", 2 * 4 * 3)
+    monkeypatch.setattr(rates, "_BLOCK_WORDS", 8)
     spare_cpu(monkeypatch, True)
     pids = forked_pids(monkeypatch)
 
-    def failing(*args, step_lo=0, **kwargs):
-        if step_lo == 8:
+    def failing(grid, seed, paths, *args, step_lo=0, **kwargs):
+        if step_lo == 8 and list(paths) == [2]:
             raise MemoryError("no room for block 2")
-        return sample_increments(*args, step_lo=step_lo, **kwargs)
+        return sample_increments(grid, seed, paths, *args, step_lo=step_lo,
+                                 **kwargs)
 
     monkeypatch.setattr(rates, "sample_increments", failing)
-    with pytest.raises(RuntimeError, match="^the increment sampler failed "
-                       "before block 2: MemoryError: no room for block 2$"):
+    with pytest.raises(RuntimeError, match="^the sweep's worker failed: "
+                       "MemoryError: no room for block 2$"):
         boundary_distance_sweep(HalfLine(0.0), make_coefficients("ou1d"),
                                 np.array([0.0]), grid, [16.0], 3, 5)
     assert len(pids) == 1
     assert_reaped(pids[0])
 
 
-def test_the_ring_checks_the_sampler_arguments_before_it_forks(monkeypatch):
-    # A master seed past 64 bits fails in this process, with the sampler's
-    # own error, and nothing is forked.
-    grid = TimeGrid.from_log2(1.0, 5)
-    monkeypatch.setattr(rates, "_BLOCK_WORDS", 2 * 4 * 3)
+@pytest.mark.parametrize("bad, message", [
+    ({"master_seed": 2 ** 64},
+     "master_seed must fit in an unsigned 64-bit integer"),
+    ({"x0": np.array([-1.0])}, "x0 must lie in the domain closure"),
+    ({"x0": np.array([np.inf])}, "x0 must be finite"),
+    ({"levels": [16.0, 4.0]},
+     "levels must be nonempty, positive and strictly increasing"),
+    ({"scheme": "implicit"}, "unknown scheme 'implicit'"),
+    ({"reference_steps": 16}, "reference grid must refine the sweep grid"),
+], ids=["seed", "outside", "non-finite", "levels", "scheme", "reference"])
+def test_the_split_checks_its_inputs_before_it_forks(monkeypatch, bad,
+                                                     message):
+    # An input error is raised in this process, with its own type and
+    # message, and nothing is forked.
     spare_cpu(monkeypatch, True)
     pids = forked_pids(monkeypatch)
-    with pytest.raises(ValueError, match="^master_seed must fit in an "
-                       "unsigned 64-bit integer$"):
-        boundary_distance_sweep(HalfLine(0.0), make_coefficients("ou1d"),
-                                np.array([0.0]), grid, [16.0], 3, 2 ** 64)
+    args = dict(domain=HalfLine(0.0), coeffs=make_coefficients("ou1d"),
+                x0=np.array([0.0]), grid=TimeGrid.from_log2(1.0, 5),
+                levels=[4.0, 16.0], num_paths=3, master_seed=5,
+                scheme="splitting", reference_steps=None)
+    args.update(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        strong_error_sweep(**args)
     assert pids == []
+
+
+def test_sweep_rejects_a_non_finite_x0_before_any_warning(monkeypatch):
+    # Unchecked, the membership test computed inf - inf and warned before
+    # its ValueError. Warnings are errors here, and nothing is forked.
+    spare_cpu(monkeypatch, True)
+    pids = forked_pids(monkeypatch)
+    args = (HalfLine(0.0), make_coefficients("ou1d"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x0 in (np.inf, -np.inf, np.nan):
+            for sweep in (boundary_distance_sweep, strong_error_sweep,
+                          weak_compare):
+                with pytest.raises(ValueError, match="^x0 must be finite$"):
+                    sweep(*args, np.array([x0]), TimeGrid.from_log2(1.0, 4),
+                          [4, 16], 3, 1)
+    assert pids == []
+
+
+def test_split_sweep_raises_the_earlier_failure_in_loop_order(monkeypatch,
+                                                              deadline):
+    # The drift explodes on states exactly at 0, which the deep level hits
+    # on some paths. Of 7 paths split 4 + 3, both halves have bad rows, and
+    # the worker's is the earlier: the split sweep raises it, with a global
+    # path index, as the one-process sweep does.
+    domain = HalfLine(0.0)
+    coeffs = CoefficientField(
+        name="explode-at-zero", dim=1,
+        diffusion=lambda t, x: ((1.0,),),
+        drift=lambda t, x: (np.where(x[..., 0] == 0.0, np.inf, 0.0),))
+    grid = TimeGrid.from_log2(1.0, 4)
+    x0 = np.array([0.25])
+    levels = [4.0, 16384.0]
+    num_paths, cut, seed = 7, 4, 3
+    first = []
+    with np.errstate(invalid="ignore"):
+        for pi in range(num_paths):
+            states = penalized_loop(domain, coeffs,
+                                    sample_path(grid, seed, pi), x0,
+                                    levels[1])[0]
+            bad = ~np.isfinite(states).all(axis=-1)
+            if bad.any():
+                first.append((int(np.argmax(bad)), pi))
+        assert min(first)[1] >= cut and any(pi < cut for _, pi in first)
+        errors = []
+        for spare in (False, True):
+            spare_cpu(monkeypatch, spare)
+            with pytest.raises(IntegrationError) as err:
+                _sweep_paths(domain, coeffs, x0, grid, levels, num_paths,
+                             seed, "splitting", None, sup_dist=_sup_dist)
+            errors.append(err.value)
+    one, split = errors
+    assert (one.step_index, one.path_index) == min(first)
+    for field in ("step_index", "path_index", "level"):
+        assert getattr(split, field) == getattr(one, field), field
+    assert str(split) == str(one)
+
+
+def test_loop_order_follows_the_step_loop():
+    # Per grid step, the reference's fine steps (two per grid step here)
+    # come before the levels, then lower levels, then lower paths; an error
+    # that is not an IntegrationError comes first.
+    def ref(step, path):
+        return rates._nonfinite(step, path)
+
+    def lvl(step, level, path):
+        return rates._nonfinite(step, path, level)
+
+    ordered = [RuntimeError("worker"), ref(3, 5), ref(4, 0), ref(4, 1),
+               lvl(2, 4.0, 9), lvl(2, 16.0, 0), ref(5, 0), lvl(3, 4.0, 0)]
+    got = sorted(reversed(ordered),
+                 key=lambda exc: rates._loop_order(exc, 2))
+    assert got == ordered
 
 
 def test_sweep_rows_independent_of_batch_quadrant():

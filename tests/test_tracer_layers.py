@@ -25,10 +25,15 @@ LAYERS = (
 )
 
 # Run in a child, because installing the tracer rebinds module attributes.
-# The span list is emptied after each run, so each gets its own totals.
+# The span list is emptied after each run, so each gets its own totals. The
+# child runs on one CPU, so its sweeps do not fork a worker for half of the
+# paths, whose calls the tracer would not see, and the counts below cover
+# the whole batch.
 CHILD = """
-import json, sys
+import json, os, sys
 import numpy as np
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from tracer import Tracer, layer_stats
 tracer = Tracer()
 tracer.install()

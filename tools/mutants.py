@@ -51,7 +51,6 @@ class Mutant:
 
 
 RATES, GEOMETRY = "src/refsde/rates.py", "src/refsde/geometry.py"
-RING = "src/refsde/_ring.py"
 UNIT = ("tests/test_rates.py", "tests/test_geometry.py", "tests/test_cli.py",
         "tests/test_layout.py", "tests/test_row_independence.py")
 
@@ -106,14 +105,19 @@ MUTANTS = (
            "tile = max(1, _TILE_WORDS // max(1, n_steps))",
            ("tests/test_brownian.py::"
             "test_sampler_tiles_stay_within_their_word_budget",)),
-    Mutant("ring-slot-parity", RING, "slots[i % 2]", "slots[0]",
+    Mutant("split-worker-offset", RATES,
+           "out = sweep(range(cut, num_paths))",
+           "out = sweep(range(num_paths - cut))",
            ("tests/test_rates.py::"
-            "test_ring_keeps_a_block_until_the_next_is_requested",)),
-    Mutant("ring-free-handback", RING, 'os.write(free_w, b"f")', "pass",
-           ("tests/test_rates.py::test_no_sampler_outlives_a_sweep",)),
+            "test_split_sweeps_match_the_one_process_sweep",)),
+    Mutant("split-error-order", RATES,
+           "raise min(failed, key=lambda exc: _loop_order(exc, factor))",
+           "raise failed[0]",
+           ("tests/test_rates.py::"
+            "test_split_sweep_raises_the_earlier_failure_in_loop_order",)),
     Mutant("sample-block-layout", RATES,
-           "halve_increments(paths, factor).transpose(1, 0, 2)",
-           "np.ascontiguousarray(halve_increments(paths, factor))"
+           "halve_increments(by_path, factor).transpose(1, 0, 2)",
+           "np.ascontiguousarray(halve_increments(by_path, factor))"
            ".transpose(1, 0, 2)",
            ("tests/test_rates.py", "tests/test_layout.py")),
     Mutant("window-ranges-second-lookup", RATES,
