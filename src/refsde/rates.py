@@ -84,8 +84,8 @@ class ErrorTable:
         levels = [r.level for r in self.rows]
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if any(r.error < 0 for r in self.rows):
-            raise ValueError("errors must be nonnegative")
+        if any(not (np.isfinite(r.error) and r.error >= 0) for r in self.rows):
+            raise ValueError("errors must be finite and nonnegative")
         if any(not np.isfinite(r.stderr) for r in self.rows):
             raise ValueError("standard errors must be finite")
 
@@ -440,7 +440,9 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     hold one budget. The halves' fields are joined along the path axis.
     Rows are independent and Philox is keyed per path, so the bits are
     those of the one-process sweep, which one-CPU processes, hosts without
-    ``os.fork`` and one-path sweeps run.
+    ``os.fork`` and one-path sweeps run. It is also the one fallback: if
+    either half fails, the sweep is redone here in one process, which
+    raises the one-process error.
     """
     def sweep(paths, words):
         run = _lockstep(domain, coeffs, x0, grid, levels, len(paths), scheme,
@@ -458,31 +460,31 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
             ref_terminal=None if x_ref is None else x_ref.copy(order="C"),
             **{name: result() for name, (_, result) in running.items()})
 
-    if num_paths < 2 or not _spare_cpu():
-        fields = sweep(range(num_paths), _BLOCK_WORDS)
-    else:
+    halves = None
+    if num_paths >= 2 and _spare_cpu():
         next(_lockstep(domain, coeffs, x0, grid, levels, num_paths, scheme,
                        ref_steps, ()))
         sample_increments(grid, master_seed, (), domain.dim)
-        lower, upper = _split(lambda paths: sweep(paths, _BLOCK_WORDS // 2),
-                              num_paths,
-                              int(ref_steps or grid.steps) // grid.steps)
+        halves = _split(lambda paths: sweep(paths, _BLOCK_WORDS // 2),
+                        num_paths)
+    if halves is None:
+        fields = sweep(range(num_paths), _BLOCK_WORDS)
+    else:
+        lower, upper = halves
         fields = {name: None if a is None else np.concatenate(
             (a, upper[name]), axis=0 if name == "ref_terminal" else 1)
             for name, a in lower.items()}
     return SweepResult(levels=tuple(levels), **fields)
 
 
-def _split(sweep, num_paths, factor):
+def _split(sweep, num_paths):
     """Run ``sweep(range(cut))`` in this process and ``sweep(range(cut,
     num_paths))`` in a forked worker, where ``cut = ceil(num_paths / 2)``,
-    and return both results. The worker sends its result back pickled over a
-    pipe and leaves only by ``os._exit``; the ``finally`` kills and reaps
-    it, also when this half raises. Errors are those of one process: an
-    ``IntegrationError`` of either half, with a global path index, waits
-    for the other half, and the earlier of two in the step loop's order
-    (``_loop_order``, with the reference's ``factor``) is raised. Any other
-    error of the worker's is raised as a ``RuntimeError`` that names it."""
+    and return both results, or None if this half raises an ``Exception``
+    or the worker sends no whole result; the caller then redoes the work in
+    one process. The worker sends its result back pickled over a pipe and
+    leaves only by ``os._exit``; the ``finally`` kills and reaps it, at once
+    when this half fails."""
     cut = -(-num_paths // 2)
     r, w = os.pipe()
     try:
@@ -492,53 +494,22 @@ def _split(sweep, num_paths, factor):
         os.close(w)
         raise
     if pid == 0:  # the worker: it sweeps its half and never splits again
-        code = 1
         try:
             os.close(r)
-            try:
-                out = sweep(range(cut, num_paths))
-            except IntegrationError as exc:
-                out = _nonfinite(exc.step_index, exc.path_index + cut,
-                                 exc.level)
-            except Exception as exc:
-                out = RuntimeError(f"the sweep's worker failed: "
-                                   f"{type(exc).__name__}: {exc}")
+            out = sweep(range(cut, num_paths))
             with open(w, "wb") as pipe:
                 pickle.dump(out, pipe)
-            code = 0
         finally:
-            os._exit(code)
+            os._exit(0)
     os.close(w)
     try:
         with open(r, "rb") as pipe:
-            try:
-                lower = sweep(range(cut))
-            except IntegrationError as exc:
-                lower = exc
-            data = pipe.read()
+            return sweep(range(cut)), pickle.load(pipe)
+    except Exception:  # this half's error, or an empty or truncated result
+        return None
     finally:
         os.kill(pid, signal.SIGKILL)  # a no-op on an exited worker
         os.waitpid(pid, 0)
-    upper = (pickle.loads(data) if data else
-             RuntimeError("the sweep's worker exited without a result"))
-    failed = [half for half in (lower, upper)
-              if isinstance(half, BaseException)]
-    if failed:
-        raise min(failed, key=lambda exc: _loop_order(exc, factor))
-    return lower, upper
-
-
-def _loop_order(exc, factor):
-    """Where the step loop meets ``exc``: an error that is not an
-    ``IntegrationError`` first, then by grid step, within it the reference
-    (``factor`` fine steps per grid step) before the levels, then by level,
-    then by path."""
-    if not isinstance(exc, IntegrationError):
-        return (0,)
-    step = exc.step_index
-    if exc.level is None:
-        return (1, -(-step // factor), 0, step, exc.path_index)
-    return (1, step, 1, exc.level, exc.path_index)
 
 
 def _sup_fold(first, gap):
@@ -608,19 +579,14 @@ def _guard(x, step, levels=None):
     # level-by-level loop would have hit first.
     row = int(np.argmin(np.isfinite(x).all(axis=-1)))
     if levels is None:
-        raise _nonfinite(step, row)
+        raise IntegrationError(
+            f"non-finite reference state at step {step}, path {row}",
+            step_index=step, path_index=row)
     li, pi = divmod(row, x.shape[-2])
-    raise _nonfinite(step, pi, levels[li])
-
-
-def _nonfinite(step, path, level=None):
-    """The ``IntegrationError`` of a non-finite state of ``path`` after
-    ``step``: the reference's, or with ``level`` that level's."""
-    what = "reference state" if level is None else "state"
-    at = "" if level is None else f", level n = {level:g}"
-    return IntegrationError(
-        f"non-finite {what} at step {step}{at}, path {path}",
-        step_index=step, path_index=path, level=level)
+    n = levels[li]
+    raise IntegrationError(
+        f"non-finite state at step {step}, level n = {n:g}, path {pi}",
+        step_index=step, path_index=pi, level=n)
 
 
 def _pooled_norm(sups, p):

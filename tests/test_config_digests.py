@@ -1,9 +1,15 @@
 """``tools/config_digests.py --check`` compares a run's artifacts with a
-digest file, here a tiny fake one, not the 2^16 configs."""
+digest file: a tiny fake one, and the checked-in digests of the three 2^16
+``configs/`` runs, which are the guard that no artifact byte moved."""
 
 import hashlib
 import importlib.util
+import re
 from pathlib import Path
+
+import numpy
+import pytest
+import scipy
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "config_digests.py"
 
@@ -53,3 +59,19 @@ def test_checked_in_digests_list_the_nine_artifacts():
         path.stem for path in (TOOL.parents[1] / "configs").glob("*.json")}
     assert all(len(d) == 64 for d in digests.values())
     assert "numpy" in lines and "scipy" in lines
+
+
+def test_the_configs_give_their_checked_in_bytes(tmp_path, capsys):
+    # All nine artifacts of the three configs, run in this process. The
+    # bytes are promised only for the numpy and scipy of the file's header.
+    tool = load_tool()
+    pinned = re.search(r"numpy (\S+) and scipy (\S+?)\.?$",
+                       tool.DIGESTS.read_text(), re.MULTILINE).groups()
+    installed = (numpy.__version__, scipy.__version__)
+    if installed != pinned:
+        pytest.skip("the digests are for numpy {} and scipy {}; installed "
+                    "are numpy {} and scipy {}".format(*pinned, *installed))
+    out = tmp_path / "out"
+    assert tool.main([str(out)]) == 0
+    capsys.readouterr()
+    assert tool.main(["--check", str(out)]) == 0, capsys.readouterr().out

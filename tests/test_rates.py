@@ -1,4 +1,5 @@
 import os
+import pickle
 import re
 import signal
 import tracemalloc
@@ -59,6 +60,15 @@ def test_error_table_validation():
         table_from([8, 16], [-1.0, 2.0])
     with pytest.raises(ValueError, match="finite"):
         table_from([8, 16], [1.0, 2.0], stderr=np.inf)
+
+
+@pytest.mark.parametrize("error", [np.nan, np.inf, -np.inf])
+def test_error_table_rejects_a_non_finite_error(error):
+    # A NaN error passed the sign check and gave fit_rate a NaN slope; an
+    # infinite one made it fail inside math.fsum.
+    with pytest.raises(ValueError,
+                       match="^errors must be finite and nonnegative$"):
+        table_from([8, 16], [1.0, error])
 
 
 @pytest.mark.parametrize("sups, p", [
@@ -759,65 +769,112 @@ def test_split_sweeps_match_the_one_process_sweep(monkeypatch, deadline,
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
 
 
-def late_blowup(paths):
+def late_blowup(paths, seen):
     """Unit diffusion; on batches of ``paths`` paths, the drift turns
-    infinite from time 1/2 on."""
+    infinite from time 1/2 on. The set ``seen`` collects the batch sizes."""
     def drift(t, x):
+        seen.add(x.shape[-2])
         return (np.inf if t >= 0.5 and x.shape[-2] == paths else 0.0,)
     return CoefficientField(name="late-blowup", dim=1,
                             diffusion=lambda t, x: ((1.0,),), drift=drift)
 
 
+def assert_same_sweep(got, want):
+    """Every field of two ``SweepResult``s bytewise."""
+    assert got.levels == want.levels
+    for key in ("terminal", "ref_terminal", "sup_dist", "sup_err"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert (a is None) == (b is None), key
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+
+
 def test_no_sampler_outlives_a_sweep(monkeypatch, deadline):
     # The forked worker, which samples and sweeps the upper half of the
-    # paths, is reaped after a whole sweep and after an IntegrationError in
-    # either half. Three paths split 2 + 1, so a drift that blows up on
-    # batches of 1 or 2 paths fails only the worker's half or only this
-    # process's. The worker's own errors are the next test's.
+    # paths, is reaped after a whole sweep and after a failure in either
+    # half. Three paths split 2 + 1, so a drift that blows up on batches of
+    # 1 or 2 paths fails only the worker's half or only this process's,
+    # and never the one-process sweep of all 3 paths that the split then
+    # falls back to: its bytes, with one fork per sweep. On batches of 0
+    # paths it never blows up, and nothing falls back.
     grid = TimeGrid.from_log2(1.0, 5)
     monkeypatch.setattr(rates, "_BLOCK_WORDS", 8)
-    spare_cpu(monkeypatch, True)
     pids = forked_pids(monkeypatch)
     args = (np.array([0.0]), grid, [16.0, 256.0], 3, 5, "splitting", None)
-    res = _sweep_paths(HalfLine(0.0), make_coefficients("ou1d"), *args,
-                       sup_dist=_sup_dist)
-    assert np.all(res.sup_dist >= 0.0) and res.sup_dist.shape == (2, 3)
-    assert len(pids) == 1
-    assert_reaped(pids[0])
-
-    for batch, path in ((2, 0), (1, 2)):
-        with np.errstate(invalid="ignore"), pytest.raises(
-                IntegrationError) as err:
-            _sweep_paths(HalfLine(0.0), late_blowup(batch), *args,
-                         sup_dist=_sup_dist)
-        assert err.value.step_index == 17
-        assert (err.value.level, err.value.path_index) == (16.0, path)
-        assert str(err.value) == (
-            f"non-finite state at step 17, level n = 16, path {path}")
-        assert len(pids) == 2 + (batch == 1)
+    for batch in (None, 0, 2, 1):
+        seen = set()
+        coeffs = (make_coefficients("ou1d") if batch is None
+                  else late_blowup(batch, seen))
+        spare_cpu(monkeypatch, False)
+        one = _sweep_paths(HalfLine(0.0), coeffs, *args, sup_dist=_sup_dist)
+        spare_cpu(monkeypatch, True)
+        seen.clear()
+        forks = len(pids)
+        with np.errstate(invalid="ignore"):
+            res = _sweep_paths(HalfLine(0.0), coeffs, *args,
+                               sup_dist=_sup_dist)
+        assert np.all(res.sup_dist >= 0.0) and res.sup_dist.shape == (2, 3)
+        assert_same_sweep(res, one)
+        assert len(pids) == forks + 1
         assert_reaped(pids[-1])
+        if batch is not None:
+            # This process's half, then all 3 paths where a half failed.
+            assert seen == ({2} if batch == 0 else {2, 3})
 
 
 def test_a_failing_sampler_surfaces_in_the_parent(monkeypatch, deadline):
-    # The worker's sampler raises on its block 2 (steps 8 to 11 of its one
-    # path): the sweep raises a RuntimeError naming it here, and the worker
-    # is reaped.
+    # A sampler that fails only on the worker's block 2 (steps 8 to 11 of
+    # its one path) leaves the worker without a result: the sweep falls
+    # back to one process, whose sampler calls do not fail, with its bytes.
+    # One that fails for every caller at step 8 raises its own MemoryError
+    # here, as the one-process sweep does. Each time the worker is reaped.
     grid = TimeGrid.from_log2(1.0, 5)
     monkeypatch.setattr(rates, "_BLOCK_WORDS", 8)
-    spare_cpu(monkeypatch, True)
     pids = forked_pids(monkeypatch)
+    args = (HalfLine(0.0), make_coefficients("ou1d"), np.array([0.0]), grid,
+            [16.0], 3, 5)
+    spare_cpu(monkeypatch, False)
+    one = boundary_distance_sweep(*args)
 
-    def failing(grid, seed, paths, *args, step_lo=0, **kwargs):
-        if step_lo == 8 and list(paths) == [2]:
-            raise MemoryError("no room for block 2")
-        return sample_increments(grid, seed, paths, *args, step_lo=step_lo,
-                                 **kwargs)
+    def failing_for(worker_only):
+        def failing(grid, seed, paths, *args, step_lo=0, **kwargs):
+            if step_lo == 8 and (list(paths) == [2] or not worker_only):
+                raise MemoryError("no room for block 2")
+            return sample_increments(grid, seed, paths, *args,
+                                     step_lo=step_lo, **kwargs)
+        return failing
 
-    monkeypatch.setattr(rates, "sample_increments", failing)
-    with pytest.raises(RuntimeError, match="^the sweep's worker failed: "
-                       "MemoryError: no room for block 2$"):
-        boundary_distance_sweep(HalfLine(0.0), make_coefficients("ou1d"),
-                                np.array([0.0]), grid, [16.0], 3, 5)
+    monkeypatch.setattr(rates, "sample_increments", failing_for(True))
+    spare_cpu(monkeypatch, True)
+    assert_same_sweep(boundary_distance_sweep(*args), one)
+    assert len(pids) == 1
+    assert_reaped(pids[0])
+    monkeypatch.setattr(rates, "sample_increments", failing_for(False))
+    for spare in (False, True):
+        spare_cpu(monkeypatch, spare)
+        with pytest.raises(MemoryError, match="^no room for block 2$") as err:
+            boundary_distance_sweep(*args)
+        assert type(err.value) is MemoryError
+    assert len(pids) == 2
+    assert_reaped(pids[1])
+
+
+@pytest.mark.parametrize("kept", [0, 40], ids=["empty", "truncated"])
+def test_a_worker_cut_short_mid_result_falls_back(monkeypatch, deadline,
+                                                  kept):
+    # The worker writes only the first ``kept`` bytes of its pickled
+    # result, as one killed while it writes would: this process finds no
+    # whole result and sweeps all the paths itself, with the one-process
+    # bytes and one fork, and the worker is reaped.
+    args = (HalfLine(0.0), make_coefficients("ou1d"), np.array([0.0]),
+            TimeGrid.from_log2(1.0, 5), [16.0, 256.0], 3, 5)
+    pids = forked_pids(monkeypatch)
+    spare_cpu(monkeypatch, False)
+    one = boundary_distance_sweep(*args)
+    monkeypatch.setattr(pickle, "dump", lambda obj, file: file.write(
+        pickle.dumps(obj)[:kept]))
+    spare_cpu(monkeypatch, True)
+    assert_same_sweep(boundary_distance_sweep(*args), one)
     assert len(pids) == 1
     assert_reaped(pids[0])
 
@@ -902,23 +959,6 @@ def test_split_sweep_raises_the_earlier_failure_in_loop_order(monkeypatch,
     for field in ("step_index", "path_index", "level"):
         assert getattr(split, field) == getattr(one, field), field
     assert str(split) == str(one)
-
-
-def test_loop_order_follows_the_step_loop():
-    # Per grid step, the reference's fine steps (two per grid step here)
-    # come before the levels, then lower levels, then lower paths; an error
-    # that is not an IntegrationError comes first.
-    def ref(step, path):
-        return rates._nonfinite(step, path)
-
-    def lvl(step, level, path):
-        return rates._nonfinite(step, path, level)
-
-    ordered = [RuntimeError("worker"), ref(3, 5), ref(4, 0), ref(4, 1),
-               lvl(2, 4.0, 9), lvl(2, 16.0, 0), ref(5, 0), lvl(3, 4.0, 0)]
-    got = sorted(reversed(ordered),
-                 key=lambda exc: rates._loop_order(exc, 2))
-    assert got == ordered
 
 
 def test_sweep_rows_independent_of_batch_quadrant():

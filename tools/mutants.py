@@ -110,11 +110,15 @@ MUTANTS = (
            "out = sweep(range(num_paths - cut))",
            ("tests/test_rates.py::"
             "test_split_sweeps_match_the_one_process_sweep",)),
-    Mutant("split-error-order", RATES,
-           "raise min(failed, key=lambda exc: _loop_order(exc, factor))",
-           "raise failed[0]",
+    Mutant("split-fallback", RATES,
+           "        return None\n    finally:",
+           "        raise\n    finally:",
            ("tests/test_rates.py::"
             "test_split_sweep_raises_the_earlier_failure_in_loop_order",)),
+    Mutant("split-join-axis", RATES,
+           'axis=0 if name == "ref_terminal" else 1', "axis=0",
+           ("tests/test_rates.py::"
+            "test_split_sweeps_match_the_one_process_sweep",)),
     Mutant("sample-block-layout", RATES,
            "halve_increments(by_path, factor).transpose(1, 0, 2)",
            "np.ascontiguousarray(halve_increments(by_path, factor))"
