@@ -13,6 +13,7 @@ re-keys its generator per path and works through its paths in tiles.
 pairwise halving), so halving by 2 twice equals halving by 4 bitwise.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,14 +85,15 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
     Row p is bitwise identical to the corresponding slice of
     ``sample_path(grid, master_seed, path_indices[p], dim).increments``;
     ``step_lo``/``step_hi`` select a step range without generating the rest
-    of the path (the counter is offset into each path's stream). The result
-    is a pure function of the arguments: one Philox generator is re-keyed
-    to ``(master_seed, p)`` for each path, with its counter at the range's
-    first 4-word block and an empty buffer, so no state passes between
-    paths or calls. The paths are drawn, mapped through the inverse CDF and
-    stored one tile at a time, in one tile's buffers, a tile being as many
-    whole paths as fit in ``_TILE_WORDS`` words, and at least one. The
-    result is ``out`` (any layout) or a C array.
+    of the path (the counter is offset into each path's stream); a bound
+    may be any integral number, and a non-integral one raises ``ValueError``.
+    The result is a pure function of the arguments: one Philox generator is
+    re-keyed to ``(master_seed, p)`` for each path, with its counter at the
+    range's first 4-word block and an empty buffer, so no state passes
+    between paths or calls. The paths are drawn, mapped through the inverse
+    CDF and stored one tile at a time, in one tile's buffers, a tile being
+    as many whole paths as fit in ``_TILE_WORDS`` words, and at least one.
+    The result is ``out`` (any layout) or a C array.
     """
     master_seed = int(master_seed)
     if not 0 <= master_seed <= _MASK64:
@@ -102,7 +104,12 @@ def sample_increments(grid, master_seed, path_indices, dim=1, step_lo=0,
     idx = [int(i) for i in path_indices]
     if any(i < 0 for i in idx):
         raise ValueError("path indices must be nonnegative")
-    step_hi = grid.steps if step_hi is None else int(step_hi)
+    bounds = (step_lo, grid.steps if step_hi is None else step_hi)
+    if not all(isinstance(v, numbers.Integral) or (
+            isinstance(v, numbers.Real) and float(v).is_integer())
+               for v in bounds):
+        raise ValueError(f"step_lo and step_hi must be integral, not {bounds}")
+    step_lo, step_hi = (int(v) for v in bounds)
     if not 0 <= step_lo <= step_hi <= grid.steps:
         raise ValueError("invalid step range")
     n_steps = step_hi - step_lo

@@ -21,6 +21,7 @@ import math
 import os
 import pickle
 import signal
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,6 +55,11 @@ __all__ = [
 # Increment words (paths x steps x d) sampled at once: per time block of a
 # sweep, per path chunk of ``brownian_modulus_table``.
 _BLOCK_WORDS = 2 ** 20
+# Fine increment words per path in one time block of a sweep. Each block
+# re-keys every path's Philox stream, about 1 us on an AVX-512 x86 host,
+# which a 1,024-word draw (about 22 us at 22 ns per word) amortizes to about
+# 5%; longer blocks would only hold more memory.
+_DRAW_WORDS = 2 ** 10
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +388,21 @@ def _increment_blocks(grid, ref_steps, master_seed, paths, d, words):
     ``paths`` (a range), time-major ``(steps, P, d)`` blocks in
     ``(steps, d, P)`` memory, so that every step reads a contiguous
     ``(P, d)`` slab, one plane per coordinate. The ``m`` coarse steps go
-    into the fewest blocks that fit in ``words`` fine words (a block holds
-    at least one coarse step), all of one length but a shorter last one:
-    4,096 steps where 2,621 fit give 2,048 + 2,048, not 2,621 + 1,475. The
-    sums match a whole-path generation bitwise. ``_lockstep`` drops a block
-    before the next is sampled, so the increments take one block of at
-    most ``max(words, P * d * factor)`` fine words (8 MiB at
-    ``_BLOCK_WORDS`` unless a coarse step alone is larger), its sums, a
-    sampler tile and, while the sums are formed, at factor 4 or more one
-    halving of half a block, however many steps there are."""
+    into the fewest blocks under two caps, all of one length but a shorter
+    last one: a block fits in ``words`` fine words in all, and in
+    ``_DRAW_WORDS`` per path, and holds at least one coarse step. 4,096
+    steps where 524 fit give 8 blocks of 512, not 7 of 524 and one of 428.
+    The sums match a whole-path generation bitwise. ``_lockstep`` drops a
+    block before the next is sampled, so the increments take one block of
+    at most ``max(min(words, P * _DRAW_WORDS), P * d * factor)`` fine words
+    (8 MiB at ``_BLOCK_WORDS`` unless a coarse step alone is larger), its
+    sums, a sampler tile and, while the sums are formed, at factor 4 or
+    more one halving of half a block, however many steps there are."""
     m = grid.steps
     finest = TimeGrid(grid.horizon, ref_steps or m)
     factor = finest.steps // m
-    most = max(1, words // max(1, len(paths) * d * factor))
+    most = max(1, min(words // max(1, len(paths) * d * factor),
+                      _DRAW_WORDS // (d * factor)))
     blocks = -(-m // most)  # ceil(m / most): the fewest that fit
     block = -(-m // blocks)  # at most ``most``, and gives ``blocks`` blocks
     # Each block is yielded straight from the call, so the suspended
@@ -405,10 +413,14 @@ def _increment_blocks(grid, ref_steps, master_seed, paths, d, words):
 
 def _spare_cpu():
     """True where a forked worker can sweep beside this process: the host
-    has ``os.fork``, and this process may run on more than one CPU."""
+    has ``os.fork``, this process may run on more than one CPU, and it runs
+    no other Python thread. The child of a multi-threaded fork may make
+    only async-signal-safe calls (POSIX), and Python 3.12 and later warn
+    on such a fork."""
     cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
             else range(os.cpu_count() or 1))
-    return hasattr(os, "fork") and len(cpus) > 1
+    return (hasattr(os, "fork") and len(cpus) > 1
+            and threading.active_count() == 1)
 
 
 def _sample_block(finest, master_seed, paths, d, factor, b0, b1):
@@ -439,10 +451,10 @@ def _sweep_paths(domain, coeffs, x0, grid, levels, num_paths, master_seed,
     planned against half of ``_BLOCK_WORDS``, so the two processes together
     hold one budget. The halves' fields are joined along the path axis.
     Rows are independent and Philox is keyed per path, so the bits are
-    those of the one-process sweep, which one-CPU processes, hosts without
-    ``os.fork`` and one-path sweeps run. It is also the one fallback: if
-    either half fails, the sweep is redone here in one process, which
-    raises the one-process error.
+    those of the one-process sweep, which one-CPU processes, processes with
+    other threads, hosts without ``os.fork`` and one-path sweeps run. It is
+    also the one fallback: if either half fails, the sweep is redone here
+    in one process, which raises the one-process error.
     """
     def sweep(paths, words):
         run = _lockstep(domain, coeffs, x0, grid, levels, len(paths), scheme,

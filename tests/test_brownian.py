@@ -59,6 +59,20 @@ def test_step_range_matches_full_stream():
     np.testing.assert_array_equal(full[:, 101:613], part)
 
 
+def test_step_bounds_may_be_any_integral_number():
+    # An integral float or numpy scalar is the same bound as its int, for
+    # either end; a non-integral one, or one that is not a number, is an
+    # error, never truncated or parsed.
+    g = TimeGrid(1.0, 16)
+    want = sample_increments(g, 3, [0, 4], 2, step_lo=3, step_hi=11)
+    for lo, hi in ((3.0, 11), (3, 11.0), (np.int64(3), np.float64(11.0))):
+        got = sample_increments(g, 3, [0, 4], 2, step_lo=lo, step_hi=hi)
+        assert got.tobytes() == want.tobytes()
+    for lo, hi in ((0, 2.5), (0.5, 4), (np.nan, 4), (0, np.inf), ("3", 4)):
+        with pytest.raises(ValueError, match="must be integral"):
+            sample_increments(g, 3, [0], step_lo=lo, step_hi=hi)
+
+
 def fresh_philox_increments(grid, seed, paths, dim, step_lo, step_hi):
     """Oracle: a fresh Philox per path and an out-of-place transform."""
     block, offset = divmod(step_lo * dim, 4)

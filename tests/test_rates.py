@@ -2,6 +2,7 @@ import os
 import pickle
 import re
 import signal
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -620,6 +621,39 @@ def test_increment_blocks_are_balanced(most, lengths):
             whole[paths.start:].transpose(1, 0, 2).tobytes())
 
 
+@pytest.mark.parametrize("factor", [1, 4])
+@pytest.mark.parametrize("draw_steps,log2_steps,lengths", [
+    (None, 10, {1: [512] * 2, 4: [128] * 8}),
+    (7, 4, {1: [6, 6, 4], 4: [6, 6, 4]})], ids=["module-cap", "balanced"])
+def test_increment_blocks_cap_each_path_draw(monkeypatch, factor, draw_steps,
+                                             log2_steps, lengths):
+    # d = 2, for the upper half of 5 paths with half of _BLOCK_WORDS, as a
+    # split sweep's worker plans them. That budget holds all of these
+    # paths' increments, so only the per-path draw cap binds: the fewest
+    # blocks of at most _DRAW_WORDS // (d * factor) coarse steps, one length
+    # but a shorter last one. The module's cap of 2^10 words gives 1,024
+    # coarse steps 2 blocks at factor 1 and 8 at factor 4; a cap of 7 coarse
+    # steps gives 16 steps 6 + 6 + 4, not 7 + 7 + 2. The bytes are those of
+    # whole-path sampling.
+    d, num_paths = 2, 5
+    upper = range(-(-num_paths // 2), num_paths)
+    grid = TimeGrid.from_log2(1.0, log2_steps)
+    finest = TimeGrid(1.0, factor * grid.steps)
+    if draw_steps is not None:
+        monkeypatch.setattr(rates, "_DRAW_WORDS", draw_steps * d * factor)
+    words = rates._BLOCK_WORDS // 2
+    assert len(upper) * d * finest.steps <= words
+    blocks = checked_blocks(rates._increment_blocks(
+        grid, finest.steps, 17, upper, d, words), len(upper), d, factor)
+    assert [inc.shape[0] for inc, _ in blocks] == lengths[factor]
+    whole = sample_increments(finest, 17, range(num_paths), d)[upper.start:]
+    fine = np.concatenate([inc_f for _, inc_f in blocks])
+    coarse = np.concatenate([inc for inc, _ in blocks])
+    assert fine.tobytes() == whole.transpose(1, 0, 2).tobytes()
+    assert coarse.tobytes() == (
+        halve_increments(whole, factor).transpose(1, 0, 2).tobytes())
+
+
 @pytest.mark.parametrize("factor", [None, 2])
 def test_one_increment_block_in_flight(monkeypatch, deadline, factor):
     # 512 paths on 2^10 steps, in blocks of 2^17 fine words (1 MiB): at
@@ -877,6 +911,36 @@ def test_a_worker_cut_short_mid_result_falls_back(monkeypatch, deadline,
     assert_same_sweep(boundary_distance_sweep(*args), one)
     assert len(pids) == 1
     assert_reaped(pids[0])
+
+
+def test_no_fork_beside_another_thread(monkeypatch, deadline):
+    # The child of a multi-threaded fork may make only async-signal-safe
+    # calls, so while a second thread is alive a sweep runs in one process,
+    # even where two CPUs are free, with the one-process bytes. Once that
+    # thread is gone, the same sweep splits again.
+    if not hasattr(os, "fork"):
+        pytest.skip("the split needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    args = (HalfLine(0.0), make_coefficients("ou1d"), np.array([0.0]),
+            TimeGrid.from_log2(1.0, 5), [16.0, 256.0], 2, 5)
+    pids = forked_pids(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(20.0,))
+    other.start()
+    try:
+        assert threading.active_count() >= 2
+        threaded = boundary_distance_sweep(*args)
+    finally:
+        release.set()
+        other.join(20.0)
+    assert not other.is_alive()
+    assert pids == []
+    assert_same_sweep(boundary_distance_sweep(*args), threaded)
+    assert len(pids) == 1
+    assert_reaped(pids[0])
+    spare_cpu(monkeypatch, False)
+    assert_same_sweep(boundary_distance_sweep(*args), threaded)
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -51,6 +51,7 @@ class Mutant:
 
 
 RATES, GEOMETRY = "src/refsde/rates.py", "src/refsde/geometry.py"
+BROWNIAN = "src/refsde/brownian.py"
 UNIT = ("tests/test_rates.py", "tests/test_geometry.py", "tests/test_cli.py",
         "tests/test_layout.py", "tests/test_row_independence.py")
 
@@ -100,7 +101,30 @@ MUTANTS = (
     Mutant("increment-blocks-greedy", RATES,
            "block = -(-m // blocks)", "block = most",
            ("tests/test_rates.py::test_increment_blocks_are_balanced",)),
-    Mutant("sampler-tile-ignores-dim", "src/refsde/brownian.py",
+    Mutant("increment-blocks-draw-cap-ignores-factor", RATES,
+           "_DRAW_WORDS // (d * factor)", "_DRAW_WORDS // d",
+           ("tests/test_rates.py::test_increment_blocks_cap_each_path_draw",)),
+    Mutant("halve-increments-pairing", BROWNIAN,
+           "out = out[..., 0::2, :] + out[..., 1::2, :]",
+           "half = out.shape[-2] // 2\n"
+           "        out = out[..., :half, :] + out[..., half:, :]",
+           ("tests/test_brownian.py::test_halve_increments_batched",
+            "tests/test_rates.py::"
+            "test_increment_blocks_match_whole_path_sampling")),
+    Mutant("halve-increments-dyadic-tree", BROWNIAN,
+           "    while f > 1:\n"
+           "        out = out[..., 0::2, :] + out[..., 1::2, :]\n"
+           "        f //= 2\n",
+           "    if f > 1:\n        out = out.reshape(*out.shape[:-2], -1, f, "
+           "out.shape[-1]).sum(axis=-2)\n",
+           ("tests/test_brownian.py::test_coarsen_composes_bitwise",)),
+    Mutant("sup-fold-last-gap", RATES,
+           "np.maximum(sq_max, row_norm_sq(gap(y, out), out=sq), out=sq_max)",
+           "np.copyto(sq_max, row_norm_sq(gap(y, out), out=sq))",
+           ("tests/test_rates.py::test_sweep_matches_per_path_api_bitwise",
+            "tests/test_rates.py::"
+            "test_sweep_matches_per_path_api_polyhedron")),
+    Mutant("sampler-tile-ignores-dim", BROWNIAN,
            "tile = max(1, _TILE_WORDS // max(1, count))",
            "tile = max(1, _TILE_WORDS // max(1, n_steps))",
            ("tests/test_brownian.py::"
